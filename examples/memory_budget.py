@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from repro import COOMatrix, SystemConfig, atmult, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, SystemConfig, atmult, build_at_matrix
 from repro.errors import MemoryLimitError
 
 
@@ -45,7 +45,9 @@ def main() -> None:
         start = time.perf_counter()
         try:
             result, rep = atmult(
-                matrix, matrix, config=config, memory_limit_bytes=budget
+                matrix,
+                matrix,
+                options=MultiplyOptions(config=config, memory_limit_bytes=budget),
             )
         except MemoryLimitError as error:
             print(f"{budget / 1e6:10.2f} MB  unsatisfiable: {error}")

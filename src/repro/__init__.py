@@ -97,7 +97,6 @@ from .core import (
     atmult,
     build_at_matrix,
     fixed_grid_at_matrix,
-    multiply,
 )
 
 # After .core: the resilience package's checkpoint/integrity modules
@@ -152,7 +151,7 @@ from .topology import (
     distribute_tile_rows,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "SystemConfig",
@@ -230,7 +229,6 @@ __all__ = [
     "write_chrome_trace",
     "write_text_summary",
     "atmult",
-    "multiply",
     "build_at_matrix",
     "fixed_grid_at_matrix",
     # -- the plan-and-execute engine (redesigned API surface) -------------

@@ -30,7 +30,7 @@ them with ``max``.  With an unbounded memory limit the water level drops
 to 0 and the static ``rho0_W`` decides alone, which reproduces the
 paper's described behavior in both regimes.
 
-Observability: pass ``observer=MultiplyOptions(observer=...)`` (or run
+Observability: pass ``options=MultiplyOptions(observer=...)`` (or run
 inside ``repro.observe()``) to record estimate/water-level/pair/optimize/
 kernel spans, the metric catalogue of docs/OBSERVABILITY.md, and
 per-product predicted-vs-measured cost samples.  With no active session
@@ -40,24 +40,20 @@ every hook is a strict no-op.
 from __future__ import annotations
 
 import logging
-from typing import Any
 
-from .. import _deprecations
 from ..config import SystemConfig
 from ..cost.model import CostModel
 from ..engine.api import resolve_plan
 from ..engine.cache import PlanCache
 from ..engine.executor import _payload_kind, _seed_accumulator, execute_plan
-from ..engine.options import UNSET, MultiplyOptions, coerce_options
+from ..engine.options import MultiplyOptions, coerce_options
 from ..engine.plan import ExecutionPlan
 from ..errors import ShapeError
 from ..formats.dense import DenseMatrix
-from ..observe import Observation
 from ..observe import session as observe_session
-from ..resilience.retry import RetryPolicy
 from .atmatrix import ATMatrix
 from .operands import MatrixOperand, _csr_row_ids, as_at_matrix, operand_density_map
-from .report import MultiplyReport
+from .report import BaseReport, MultiplyReport
 
 # Pre-engine call sites imported these from here; their homes are now
 # repro.core.operands and repro.engine.executor.
@@ -66,7 +62,6 @@ __all__ = [
     "as_at_matrix",
     "atmult",
     "enforce_memory_limit",
-    "multiply",
     "operand_density_map",
     "_csr_row_ids",
     "_payload_kind",
@@ -85,11 +80,6 @@ def atmult(
     config: SystemConfig | None = None,
     cost_model: CostModel | None = None,
     plan_cache: PlanCache | None = None,
-    memory_limit_bytes: float | None = UNSET,
-    dynamic_conversion: bool = UNSET,
-    use_estimation: bool = UNSET,
-    resilience: RetryPolicy | None = UNSET,
-    observer: Observation | None = UNSET,
 ) -> tuple[ATMatrix, MultiplyReport]:
     """Multiply ``C' = C + A x B`` with tile-granular optimization.
 
@@ -102,8 +92,7 @@ def atmult(
     options:
         A :class:`~repro.engine.options.MultiplyOptions` consolidating
         the execution knobs (memory limit, ablation flags, resilience,
-        observer, plan cache).  This is the preferred way to configure
-        the call.
+        observer, plan cache).
     config:
         System configuration; defaults to the library default.
     cost_model:
@@ -113,11 +102,6 @@ def atmult(
         A :class:`~repro.engine.cache.PlanCache`; when set (here or in
         ``options``), planning is skipped whenever a cached plan matches
         the operand topologies and configuration.
-    memory_limit_bytes, dynamic_conversion, use_estimation, resilience, observer:
-        **Deprecated** — the legacy keyword set, still honored (one
-        consolidated :class:`DeprecationWarning` per call).  Pass the
-        same fields on ``options`` instead; explicitly supplied legacy
-        values override the corresponding ``options`` fields.
 
     Returns
     -------
@@ -125,16 +109,7 @@ def atmult(
         The product as an :class:`ATMatrix` plus the phase report.
     """
     opts = coerce_options(
-        options,
-        where="atmult",
-        config=config,
-        cost_model=cost_model,
-        plan_cache=plan_cache,
-        memory_limit_bytes=memory_limit_bytes,
-        dynamic_conversion=dynamic_conversion,
-        use_estimation=use_estimation,
-        resilience=resilience,
-        observer=observer,
+        options, config=config, cost_model=cost_model, plan_cache=plan_cache
     )
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
@@ -183,7 +158,7 @@ def atmult(
     return result, report
 
 
-def _fold_plan_phases(report: MultiplyReport, plan: ExecutionPlan) -> None:
+def _fold_plan_phases(report: BaseReport, plan: ExecutionPlan) -> None:
     """Attribute a freshly built plan's phase durations to this report.
 
     Cached replays skip this — their reports show (near) zero estimate
@@ -236,29 +211,3 @@ def enforce_memory_limit(result: ATMatrix, memory_limit_bytes: float) -> int:
         )
     return demoted
 
-
-def multiply(
-    a: MatrixOperand,
-    b: MatrixOperand,
-    *,
-    return_report: bool = True,
-    **kwargs: Any,
-) -> tuple[ATMatrix, MultiplyReport] | ATMatrix:
-    """Convenience wrapper around :func:`atmult`.
-
-    Returns ``(result, report)`` like every other multiply entry point.
-    ``return_report=False`` restores the pre-redesign result-only shape
-    and is **deprecated**.
-
-    Accepts the full :func:`atmult` keyword set (``options``, ``config``,
-    ``cost_model``, ``plan_cache`` plus the deprecated legacy knobs).
-    """
-    result, report = atmult(a, b, **kwargs)
-    if not return_report:
-        _deprecations.warn_once(
-            "multiply:return_report",
-            "multiply(return_report=False) is deprecated; the default now "
-            "returns (result, report) like atmult",
-        )
-        return result
-    return result, report

@@ -18,19 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..observe import Observation
-    from ..resilience.retry import RetryPolicy
-
-from .. import _deprecations
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..cost.model import CostModel
 from ..density.estimate import estimate_product_density
 from ..density.map import DensityMap
-from ..engine.cache import PlanCache
-from ..engine.options import UNSET, MultiplyOptions, coerce_options
+from ..engine.options import MultiplyOptions
 from ..errors import ShapeError
 from ..kinds import StorageKind
 from ..observe import session as observe_session
@@ -223,16 +216,7 @@ def multiply_chain(
     operands: list[MatrixOperand],
     *,
     options: MultiplyOptions | None = None,
-    config: SystemConfig | None = None,
-    cost_model: CostModel | None = None,
-    plan_cache: PlanCache | None = None,
-    memory_limit_bytes: float | None = UNSET,
-    dynamic_conversion: bool = UNSET,
-    use_estimation: bool = UNSET,
-    resilience: RetryPolicy | None = UNSET,
-    observer: Observation | None = UNSET,
-    return_report: bool = True,
-) -> tuple[ATMatrix, "ChainReport | ChainPlan"]:
+) -> tuple[ATMatrix, ChainReport]:
     """Plan and execute a matrix chain with ATMULT.
 
     Returns ``(product, report)`` where the :class:`ChainReport` carries
@@ -249,51 +233,10 @@ def multiply_chain(
     :class:`~repro.engine.plan.FusedChainPlan` and every later run of
     the same chain replays it from one cache hit with cross-hop
     interleaved execution (``report.fused`` / ``report.plan_cache_hit``
-    say which path ran).
-
-    ``return_report=False`` restores the pre-redesign
-    ``(product, ChainPlan)`` shape and is **deprecated** (documented
-    2.0 removal); the legacy execution keywords (``memory_limit_bytes``
-    etc.) and the ``config=``/``cost_model=``/``plan_cache=`` context
-    parameters are likewise deprecated in favor of
-    ``options=MultiplyOptions(...)`` or :class:`~repro.engine.session.Session`.
+    say which path ran).  :meth:`Session.multiply_chain
+    <repro.Session.multiply_chain>` always has a plan cache.
     """
-    supplied_context = [
-        name
-        for name, value in (
-            ("config", config),
-            ("cost_model", cost_model),
-            ("plan_cache", plan_cache),
-        )
-        if value is not None
-    ]
-    if supplied_context:
-        names = ", ".join(supplied_context)
-        _deprecations.warn_once(
-            f"multiply_chain:context:{names}",
-            f"multiply_chain(): the {names} parameter(s) are deprecated; "
-            "fold them into options=MultiplyOptions(...) or use "
-            "Session.multiply_chain",
-        )
-    opts = coerce_options(
-        options,
-        where="multiply_chain",
-        config=config,
-        cost_model=cost_model,
-        plan_cache=plan_cache,
-        memory_limit_bytes=memory_limit_bytes,
-        dynamic_conversion=dynamic_conversion,
-        use_estimation=use_estimation,
-        resilience=resilience,
-        observer=observer,
-    )
-    if not return_report:
-        _deprecations.warn_once(
-            "multiply_chain:return_report",
-            "multiply_chain(return_report=False) is deprecated; the default "
-            "now returns (result, ChainReport) — the report exposes the "
-            "ChainPlan as report.plan",
-        )
+    opts = options if options is not None else MultiplyOptions()
     resolved_config = opts.resolved_config()
     resolved_model = opts.resolved_cost_model()
 
@@ -309,7 +252,7 @@ def multiply_chain(
 
         with observe_session.resolve(opts.observer) as obs:
             product, report, _fused = run_chain(operands, options=opts, obs=obs)
-        return (product, report) if return_report else (product, report._plan())
+        return product, report
 
     with observe_session.resolve(opts.observer) as obs:
         report = ChainReport(observation=obs)
@@ -319,8 +262,7 @@ def multiply_chain(
             )
         report.plan = plan
         if len(operands) == 1:
-            single = as_at_matrix(operands[0], resolved_config)
-            return (single, report) if return_report else (single, plan)
+            return as_at_matrix(operands[0], resolved_config), report
 
         results: dict[tuple[int, int], MatrixOperand] = {
             (i, i): operand for i, operand in enumerate(operands)
@@ -333,4 +275,4 @@ def multiply_chain(
             report.merge_step(step_report)
             results[(i, j)] = product
         assert product is not None
-        return (product, report) if return_report else (product, plan)
+        return product, report

@@ -15,13 +15,6 @@ those breakdowns independently and diverged; now both extend one
 * ``observation`` — the attached
   :class:`~repro.observe.Observation` when the run was traced, else
   ``None``.
-
-The pre-redesign attribute names (``estimate_seconds``,
-``optimize_seconds``, ``multiply_seconds``, ``wall_seconds``) remain
-available as property aliases over ``phase_seconds`` — they are
-**deprecated** in favor of ``phase_seconds``/``total_seconds`` and warn
-once per attribute through :mod:`repro._deprecations`; new code and new
-phases should use the dict.
 """
 
 from __future__ import annotations
@@ -29,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .. import _deprecations
 from ..density.water_level import WaterLevelResult
 from ..observe import Observation
 from ..resilience.report import FailureReport
@@ -69,9 +61,9 @@ class BaseReport:
     def add_phase(self, name: str, seconds: float) -> None:
         """Accumulate ``seconds`` into the named phase.
 
-        Only the orchestrating thread writes phases; worker threads
-        report their timings through ``busy_hook``/``merge_outcome``
-        under the executor's ``busy_lock``.
+        Only single-threaded execution writes phases; worker threads
+        report their timings through the executor's busy hook, under
+        its lock.
         """
         self.phase_seconds[name] = (  # repro-lint: disable=RPR012
             self.phase_seconds.get(name, 0.0) + seconds
@@ -88,8 +80,8 @@ class BaseReport:
 
     def count_kernel(self, name: str, count: int = 1) -> None:
         # Threaded pair execution merges its per-attempt kernel counts
-        # through run_pair_captured under the executor's busy_lock; the
-        # sequential/supervisor paths are single-writer.
+        # under the executor's lock; the sequential/supervisor paths are
+        # single-writer.
         self.kernel_counts[name] = (  # repro-lint: disable=RPR012
             self.kernel_counts.get(name, 0) + count
         )
@@ -111,51 +103,6 @@ class BaseReport:
             "failure": self.failure.summary(),
             "observed": self.observation is not None,
         }
-
-    # -- deprecated aliases ----------------------------------------------
-    # Old code read/wrote these as plain dataclass fields; they now view
-    # phase_seconds (so both spellings stay consistent forever) and warn
-    # once per attribute through the shared deprecation funnel.
-    def _alias_warning(self, name: str, phase: str) -> None:
-        _deprecations.warn_once(
-            f"BaseReport.{name}",
-            f"report.{name} is deprecated; use "
-            f'report.phase_seconds["{phase}"] / report.add_phase(...) instead',
-            stacklevel=4,
-        )
-
-    @property
-    def estimate_seconds(self) -> float:
-        """Deprecated alias of ``phase_seconds["estimate"]``."""
-        self._alias_warning("estimate_seconds", PHASE_ESTIMATE)
-        return self.phase(PHASE_ESTIMATE)
-
-    @estimate_seconds.setter
-    def estimate_seconds(self, value: float) -> None:
-        self._alias_warning("estimate_seconds", PHASE_ESTIMATE)
-        self.phase_seconds[PHASE_ESTIMATE] = value
-
-    @property
-    def optimize_seconds(self) -> float:
-        """Deprecated alias of ``phase_seconds["optimize"]``."""
-        self._alias_warning("optimize_seconds", PHASE_OPTIMIZE)
-        return self.phase(PHASE_OPTIMIZE)
-
-    @optimize_seconds.setter
-    def optimize_seconds(self, value: float) -> None:
-        self._alias_warning("optimize_seconds", PHASE_OPTIMIZE)
-        self.phase_seconds[PHASE_OPTIMIZE] = value
-
-    @property
-    def multiply_seconds(self) -> float:
-        """Deprecated alias of ``phase_seconds["multiply"]``."""
-        self._alias_warning("multiply_seconds", PHASE_MULTIPLY)
-        return self.phase(PHASE_MULTIPLY)
-
-    @multiply_seconds.setter
-    def multiply_seconds(self, value: float) -> None:
-        self._alias_warning("multiply_seconds", PHASE_MULTIPLY)
-        self.phase_seconds[PHASE_MULTIPLY] = value
 
     @property
     def estimate_fraction(self) -> float:
@@ -193,9 +140,9 @@ class MultiplyReport(BaseReport):
 class ParallelReport(BaseReport):
     """Report of one parallel ATMULT run.
 
-    ``phase_seconds["multiply"]`` holds the pair-loop wall time (the
-    pre-redesign ``wall_seconds``); per-worker busy time additionally
-    lands in ``worker_busy_seconds`` for the efficiency metric.
+    ``phase_seconds["multiply"]`` holds the pair-loop wall time;
+    per-worker busy time additionally lands in ``worker_busy_seconds``
+    for the efficiency metric.
     """
 
     pairs: int = 0
@@ -203,17 +150,6 @@ class ParallelReport(BaseReport):
     workers: int = 1
     #: busy seconds accumulated per worker thread
     worker_busy_seconds: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def wall_seconds(self) -> float:
-        """Deprecated alias of ``phase_seconds["multiply"]``."""
-        self._alias_warning("wall_seconds", PHASE_MULTIPLY)
-        return self.phase(PHASE_MULTIPLY)
-
-    @wall_seconds.setter
-    def wall_seconds(self, value: float) -> None:
-        self._alias_warning("wall_seconds", PHASE_MULTIPLY)
-        self.phase_seconds[PHASE_MULTIPLY] = value
 
     @property
     def parallel_efficiency(self) -> float:

@@ -112,9 +112,7 @@ def plan(
 
     Consults (and fills) ``options.plan_cache`` when one is set.
     """
-    opts = coerce_options(
-        options, where="plan", config=config, cost_model=cost_model
-    )
+    opts = coerce_options(options, config=config, cost_model=cost_model)
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     resolved_config = opts.resolved_config()
@@ -148,9 +146,7 @@ def execute(
     Raises :class:`~repro.errors.PlanMismatchError` when either
     operand's structure fingerprint differs from the plan's.
     """
-    opts = coerce_options(
-        options, where="execute", config=config, cost_model=cost_model
-    )
+    opts = coerce_options(options, config=config, cost_model=cost_model)
     resolved_config = opts.resolved_config()
     resolved_model = opts.resolved_cost_model()
     if c is not None and c.shape != execution_plan.shape:

@@ -8,10 +8,12 @@ just-in-time conversions the decisions call for and dispatches the
 kernels through one of three backends:
 
 ``"sequential"``
-    a plain loop, returning a :class:`~repro.core.report.MultiplyReport`
-    with :class:`~repro.topology.trace.TaskRecord` entries;
+    the pair loop run inline on the calling thread, returning a
+    :class:`~repro.core.report.MultiplyReport` with
+    :class:`~repro.topology.trace.TaskRecord` entries;
 ``"threads"``
-    one worker team per simulated socket on a thread pool
+    the same pair loop with each pair dispatched to a thread pool, one
+    worker team per simulated socket
     (:class:`~repro.core.report.ParallelReport` with per-worker busy
     time);
 ``"processes"``
@@ -36,9 +38,10 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -459,9 +462,8 @@ def execute_plan(
     cost_model: CostModel,
     resilience: RetryPolicy | None = None,
     obs: Observation | None = None,
-    parallel: bool = False,
     workers: int = 1,
-    execution: str | None = None,
+    execution: str = "sequential",
     heartbeat_interval: float = 0.25,
     pair_deadline_seconds: float | None = None,
     check_fingerprints: bool = True,
@@ -472,16 +474,25 @@ def execute_plan(
 ) -> tuple[ATMatrix, MultiplyReport | ParallelReport]:
     """Execute a plan against operands of matching topology.
 
-    ``execution`` selects the backend (:data:`EXECUTION_MODES`); the
-    legacy ``parallel=True`` keyword keeps meaning ``"threads"``.
-    Sequential mode returns a :class:`MultiplyReport` (with task
-    records); the thread backend dispatches pairs to a ``workers``-sized
-    thread pool (one per simulated socket) and returns a
-    :class:`ParallelReport`; the process backend hands the whole run to
+    ``execution`` selects the backend (:data:`EXECUTION_MODES`).  The
+    two in-process backends share one pair loop and differ only in who
+    runs each pair:
+
+    * ``"sequential"`` runs pairs inline on the calling thread, fails
+      fast with the pair's own error and returns a
+      :class:`MultiplyReport` with per-product phases and task records;
+    * ``"threads"`` dispatches pairs to a ``workers``-sized thread pool
+      (one per simulated socket), aggregates pair errors into one
+      :class:`~repro.errors.TaskFailedError` after the pool drains and
+      returns a :class:`ParallelReport` with per-worker busy time and
+      the pair-loop wall time.
+
+    Either way the result tiles come out in plan pair order.  The
+    process backend hands the whole run to
     :func:`repro.resilience.supervisor.run_supervised` — worker
     processes with ``heartbeat_interval``-spaced liveness reporting and
     an optional per-pair dispatch deadline.  ``at_c`` seeding is
-    sequential-only, as before the redesign.
+    sequential-only.
 
     With a ``checkpoint`` store, pairs already present in its journal
     are restored instead of re-executed (counted as
@@ -502,18 +513,16 @@ def execute_plan(
     it bounds how long a fresh worker may take to post its first
     heartbeat.
     """
-    mode = execution if execution is not None else (
-        "threads" if parallel else "sequential"
-    )
-    if mode not in EXECUTION_MODES:
+    if execution not in EXECUTION_MODES:
         raise ConfigError(
-            f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
+            f"unknown execution mode {execution!r}; expected one of "
+            f"{EXECUTION_MODES}"
         )
-    if mode != "sequential" and at_c is not None:
+    if execution != "sequential" and at_c is not None:
         raise PlanMismatchError("C seeding is not supported in parallel execution")
     if check_fingerprints:
         check_plan_applies(plan, at_a, at_b)
-    if mode == "processes":
+    if execution == "processes":
         # Imported lazily: the supervisor reaches back into this module
         # (through engine.shard) for the worker-side PairComputer.
         from ..resilience.supervisor import run_supervised
@@ -535,32 +544,25 @@ def execute_plan(
             startup_grace_seconds=startup_grace_seconds,
         )
 
-    parallel = mode == "threads"
-    completed: dict[tuple[int, int], Tile | None] = (
-        checkpoint.begin(plan) if checkpoint is not None else {}
-    )
-
-    if parallel:
-        report: MultiplyReport | ParallelReport = ParallelReport(
-            workers=workers, observation=obs
-        )
+    report: MultiplyReport | ParallelReport
+    # Worker threads account under this lock; the sequential loop runs
+    # on one thread and takes none.
+    guard: AbstractContextManager[object] = nullcontext()
+    busy_hook: Callable[[float], None] | None = None
+    threaded = execution == "threads"
+    if threaded:
+        lock = threading.Lock()
+        guard = lock
+        report = ParallelReport(pairs=len(plan.pairs), workers=workers, observation=obs)
+        busy_hook = _thread_busy_hook(report, obs, lock)
         if obs is not None:
             obs.metrics.gauge("workers").set(workers)
     else:
-        report = MultiplyReport(observation=obs)
-        report.write_threshold = plan.write_threshold
-        report.water_level = plan.water_level
-
-    busy_lock = threading.Lock()
-
-    def thread_busy_hook(elapsed: float) -> None:
-        name = threading.current_thread().name
-        with busy_lock:
-            report.worker_busy_seconds[name] = (
-                report.worker_busy_seconds.get(name, 0.0) + elapsed
-            )
-        if obs is not None:
-            obs.metrics.counter(f"worker.busy_seconds.{name}").inc(elapsed)
+        report = MultiplyReport(
+            observation=obs,
+            write_threshold=plan.write_threshold,
+            water_level=plan.water_level,
+        )
 
     computer = PairComputer(
         plan,
@@ -570,138 +572,157 @@ def execute_plan(
         at_c=at_c,
         obs=obs,
         resilience=resilience,
-        record_tasks=not parallel,
-        busy_hook=thread_busy_hook if parallel else None,
+        record_tasks=not threaded,
+        busy_hook=busy_hook,
         cancel=cancel,
     )
     computer.bind_resilience(config, report.failure)
 
-    result_tiles: list[Tile] = []
+    # Result tiles by pair index, so both backends (and resumed runs)
+    # assemble the result in plan pair order.
+    tiles: list[Tile | None] = [None] * len(plan.pairs)
+    completed: dict[tuple[int, int], Tile | None] = (
+        checkpoint.begin(plan) if checkpoint is not None else {}
+    )
+    pending: list[int] = []
+    for index, pair in enumerate(plan.pairs):
+        coords = (pair.ti, pair.tj)
+        if coords in completed:
+            tiles[index] = completed[coords]
+            report.failure.pairs_resumed += 1
+            computer.note_completed(pair, tiles[index])
+        else:
+            pending.append(index)
+    if computer.runner is None:
+        report.failure.attempts = len(pending)
 
-    def resume_pair(pair: PlannedPair) -> None:
-        """Adopt a journaled result tile instead of re-executing the pair."""
-        tile = completed[(pair.ti, pair.tj)]
-        report.failure.pairs_resumed += 1
-        if tile is not None:
-            result_tiles.append(tile)
-            computer.note_completed(pair, tile)
-
-    def journal_pair(pair: PlannedPair, tile: Tile | None) -> None:
-        assert checkpoint is not None
-        checkpoint.record((pair.ti, pair.tj), tile)
-        if checkpoint.pending() >= checkpoint_flush_pairs:
-            checkpoint.flush()
-
-    def flush_on_interrupt() -> None:
-        """Satellite contract: Ctrl-C must not lose buffered records."""
+    def run(index: int) -> None:
+        pair = plan.pairs[index]
+        outcome = computer.run_pair(pair)
+        with guard:
+            _account(report, outcome.stats)
+        tiles[index] = outcome.tile
+        computer.note_completed(pair, outcome.tile)
         if checkpoint is not None:
-            checkpoint.flush()
-            report.checkpoint_flushes = checkpoint.flushes
+            checkpoint.record((pair.ti, pair.tj), outcome.tile)
+            if checkpoint.pending() >= checkpoint_flush_pairs:
+                checkpoint.flush()
 
-    if parallel:
-        assert isinstance(report, ParallelReport)
-        report.pairs = len(plan.pairs)
-        pending_pairs = [
-            pair for pair in plan.pairs if (pair.ti, pair.tj) not in completed
-        ]
-        for pair in plan.pairs:
-            if (pair.ti, pair.tj) in completed:
-                resume_pair(pair)
-        if computer.runner is None:
-            report.failure.attempts = len(pending_pairs)
-
-        def run_pair_captured(pair: PlannedPair) -> Tile | None:
-            try:
-                outcome = computer.run_pair(pair)
-            except OperationCancelledError:
-                # Not a pair failure: the token tripped before this pair
-                # started.  The post-drain check() re-raises once, with
-                # everything that did finish journaled.
-                return None
-            except Exception as error:  # noqa: BLE001 — aggregated after the pool drains
-                with busy_lock:
-                    report.failure.record_error((pair.ti, pair.tj), error)
-                return None
-            with busy_lock:
-                report.products += outcome.stats.products
-                report.pairs_executed += 1
-                report.merge_kernel_counts(outcome.stats.kernel_counts)
-            computer.note_completed(pair, outcome.tile)
-            if checkpoint is not None:
-                journal_pair(pair, outcome.tile)
-            return outcome.tile
-
-        start = time.perf_counter()
-        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="team")
-        try:
-            with _span(
-                obs, "pair_loop", attrs={"pairs": len(plan.pairs)} if obs else None
-            ):
-                result_tiles.extend(
-                    tile
-                    for tile in pool.map(run_pair_captured, pending_pairs)
-                    if tile is not None
-                )
-        except KeyboardInterrupt:
-            # Tear the pool down without waiting for queued pairs, keep
-            # what finished, and let the CLI print its one-line exit.
-            pool.shutdown(wait=False, cancel_futures=True)
-            flush_on_interrupt()
-            raise
-        finally:
-            pool.shutdown(wait=True)
-        report.phase_seconds[PHASE_MULTIPLY] = time.perf_counter() - start
-        report.conversions = computer.conversions.conversions
-        if checkpoint is not None:
-            checkpoint.flush()
-            report.checkpoint_flushes = checkpoint.flushes
+    start = time.perf_counter()
+    try:
+        with _span(
+            obs, "pair_loop", attrs={"pairs": len(plan.pairs)} if obs else None
+        ):
+            if threaded:
+                _run_on_pool(run, pending, workers, plan, report.failure, guard)
+            else:
+                for index in pending:
+                    run(index)
         if cancel is not None and cancel.cancelled:
+            # Worker threads skip their pairs once the token trips;
+            # raise once here, with everything that finished journaled.
             cancel.check()
-        if report.failure.pair_errors:
-            raise TaskFailedError(
-                aggregate_message(report.failure.pair_errors, len(plan.pairs)),
-                pair_errors=report.failure.pair_errors,
-                report=report,
-            )
-    else:
-        assert isinstance(report, MultiplyReport)
-        try:
-            for pair in plan.pairs:
-                if (pair.ti, pair.tj) in completed:
-                    resume_pair(pair)
-                    continue
-                outcome = computer.run_pair(pair)
-                stats = outcome.stats
-                report.add_phase(PHASE_OPTIMIZE, stats.optimize_seconds)
-                report.add_phase(PHASE_MULTIPLY, stats.multiply_seconds)
-                report.merge_kernel_counts(stats.kernel_counts)
-                report.tasks.extend(stats.tasks)
-                report.pairs_executed += 1
-                if outcome.tile is not None:
-                    result_tiles.append(outcome.tile)
-                    computer.note_completed(pair, outcome.tile)
-                if checkpoint is not None:
-                    journal_pair(pair, outcome.tile)
-        except (KeyboardInterrupt, OperationCancelledError):
-            flush_on_interrupt()
-            raise
-        report.conversions = computer.conversions.conversions
+    except (KeyboardInterrupt, OperationCancelledError):
         if checkpoint is not None:
             checkpoint.flush()
             report.checkpoint_flushes = checkpoint.flushes
+        raise
+    if threaded:
+        report.phase_seconds[PHASE_MULTIPLY] = time.perf_counter() - start
+    report.conversions = computer.conversions.conversions
+    if checkpoint is not None:
+        checkpoint.flush()
+        report.checkpoint_flushes = checkpoint.flushes
+    if report.failure.pair_errors:
+        raise TaskFailedError(
+            aggregate_message(report.failure.pair_errors, len(plan.pairs)),
+            pair_errors=report.failure.pair_errors,
+            report=report,
+        )
 
-    result = ATMatrix(plan.shape[0], plan.shape[1], config, result_tiles)
-
+    result = ATMatrix(
+        plan.shape[0],
+        plan.shape[1],
+        config,
+        [tile for tile in tiles if tile is not None],
+    )
     limit = plan.memory_limit_bytes
-    enforce = limit is not None and (parallel or not np.isinf(limit))
-    if enforce:
+    if limit is not None and not np.isinf(limit):
         from ..core.atmult import enforce_memory_limit
 
         start = time.perf_counter()
         with _span(obs, "memory_limit_enforce"):
             enforce_memory_limit(result, limit)
-        report.add_phase("optimize", time.perf_counter() - start)
+        report.add_phase(PHASE_OPTIMIZE, time.perf_counter() - start)
     return result, report
+
+
+def _account(report: MultiplyReport | ParallelReport, stats: _PairStats) -> None:
+    """Merge one executed pair's statistics into the run's report."""
+    report.pairs_executed += 1
+    report.merge_kernel_counts(stats.kernel_counts)
+    if isinstance(report, ParallelReport):
+        report.products += stats.products
+    else:
+        report.add_phase(PHASE_OPTIMIZE, stats.optimize_seconds)
+        report.add_phase(PHASE_MULTIPLY, stats.multiply_seconds)
+        report.tasks.extend(stats.tasks)
+
+
+def _thread_busy_hook(
+    report: ParallelReport, obs: Observation | None, lock: threading.Lock
+) -> Callable[[float], None]:
+    """Attribute each attempt's wall seconds to the worker thread running it."""
+
+    def hook(elapsed: float) -> None:
+        name = threading.current_thread().name
+        with lock:
+            report.worker_busy_seconds[name] = (
+                report.worker_busy_seconds.get(name, 0.0) + elapsed
+            )
+        if obs is not None:
+            obs.metrics.counter(f"worker.busy_seconds.{name}").inc(elapsed)
+
+    return hook
+
+
+def _run_on_pool(
+    run: Callable[[int], None],
+    pending: list[int],
+    workers: int,
+    plan: ExecutionPlan,
+    failure: FailureReport,
+    guard: AbstractContextManager[object],
+) -> None:
+    """Run the pending pair indices on a ``workers``-sized thread pool.
+
+    A failing pair does not stop the others: its error is recorded and
+    the caller raises one aggregated error after the pool drains.
+    """
+
+    def run_captured(index: int) -> None:
+        try:
+            run(index)
+        except OperationCancelledError:
+            # Not a pair failure: the token tripped before this pair
+            # started, and the caller re-raises after the drain.
+            pass
+        except Exception as error:  # noqa: BLE001 — aggregated after the pool drains
+            pair = plan.pairs[index]
+            with guard:
+                failure.record_error((pair.ti, pair.tj), error)
+
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="team")
+    try:
+        for _ in pool.map(run_captured, pending):
+            pass
+    except KeyboardInterrupt:
+        # Tear the pool down without waiting for queued pairs; the
+        # caller flushes what finished before the CLI prints its exit.
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    finally:
+        pool.shutdown(wait=True)
 
 
 @dataclass
@@ -771,10 +792,13 @@ def execute_fused_chain(
     computers: list[PairComputer | None] = [None] * len(fused.hops)
     reports: list[MultiplyReport] = []
     for hop in fused.hops:
-        report = MultiplyReport(observation=obs)
-        report.write_threshold = hop.plan.write_threshold
-        report.water_level = hop.plan.water_level
-        reports.append(report)
+        reports.append(
+            MultiplyReport(
+                observation=obs,
+                write_threshold=hop.plan.write_threshold,
+                water_level=hop.plan.water_level,
+            )
+        )
 
     root = len(fused.hops) - 1
     current_bytes = 0
@@ -801,13 +825,7 @@ def execute_fused_chain(
                 computers[h] = computer
             pair = hop.plan.pairs[p]
             outcome = computer.run_pair(pair)
-            stats = outcome.stats
-            report = reports[h]
-            report.add_phase(PHASE_OPTIMIZE, stats.optimize_seconds)
-            report.add_phase(PHASE_MULTIPLY, stats.multiply_seconds)
-            report.merge_kernel_counts(stats.kernel_counts)
-            report.tasks.extend(stats.tasks)
-            report.pairs_executed += 1
+            _account(reports[h], outcome.stats)
 
             tile = outcome.tile
             expected_index = hop.tile_of_pair[p]

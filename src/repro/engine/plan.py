@@ -606,9 +606,7 @@ def build_chain_plan(
             "a fused chain needs at least two operands, got "
             f"{len(operands)}"
         )
-    opts = coerce_options(
-        options, where="build_chain_plan", config=config, cost_model=cost_model
-    )
+    opts = coerce_options(options, config=config, cost_model=cost_model)
     with observe_session.resolve(opts.observer) as obs:
         _result, _report, fused = run_chain(operands, options=opts, obs=obs)
     assert fused is not None  # guaranteed for two or more operands

@@ -244,9 +244,9 @@ class Session:
         ``method`` is one of ``"cg"`` (conjugate gradients, the default;
         ``"conjugate_gradient"`` is accepted as a long spelling),
         ``"jacobi"`` or ``"richardson"``.  Extra keywords go to the
-        underlying solver (``tol``, ``max_iterations``, ``omega``, ...);
-        every iteration multiplies through this session, so the matrix
-        is planned once and replayed.
+        underlying solver (``tolerance``, ``max_iterations``,
+        ``omega``, ...); every iteration multiplies through this
+        session, so the matrix is planned once and replayed.
         """
         from ..solve import conjugate_gradient, jacobi, richardson
 

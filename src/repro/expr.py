@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import _deprecations
 from .config import SystemConfig
 from .core.arith import add as at_add
 from .core.arith import scale as at_scale
@@ -79,8 +78,6 @@ class MatrixExpr:
     def evaluate(
         self,
         *,
-        config: SystemConfig | None = None,
-        cost_model: CostModel | None = None,
         options: MultiplyOptions | None = None,
         session: Session | None = None,
     ) -> ATMatrix:
@@ -88,41 +85,18 @@ class MatrixExpr:
 
         Execution context, highest precedence first: ``session`` (its
         options — plan cache included — drive every product), then
-        ``options``, then a default :class:`MultiplyOptions`.  The
-        ``config``/``cost_model`` parameters override the corresponding
-        fields of whichever applies but are **deprecated** — fold them
-        into ``options=MultiplyOptions(...)`` or evaluate through
-        :meth:`Session.evaluate <repro.Session.evaluate>`.  With a plan
-        cache attached (a session always has one), product chains route
-        through the fused chain planner, so re-evaluating an expression
-        over same-topology operands replays whole fused chain plans.
+        ``options``, then a default :class:`MultiplyOptions`.  With a
+        plan cache attached (a session always has one), product chains
+        route through the fused chain planner, so re-evaluating an
+        expression over same-topology operands replays whole fused
+        chain plans.
         """
-        supplied_context = [
-            name
-            for name, value in (
-                ("config", config),
-                ("cost_model", cost_model),
-            )
-            if value is not None
-        ]
-        if supplied_context:
-            names = ", ".join(supplied_context)
-            _deprecations.warn_once(
-                f"MatrixExpr.evaluate:context:{names}",
-                f"MatrixExpr.evaluate(): the {names} parameter(s) are "
-                "deprecated; fold them into options=MultiplyOptions(...) "
-                "or evaluate through Session.evaluate",
-            )
         if session is not None:
             base = session.options
         elif options is not None:
             base = options
         else:
             base = MultiplyOptions()
-        if config is not None:
-            base = base.replace(config=config)
-        if cost_model is not None:
-            base = base.replace(cost_model=cost_model)
         normalized = self._pushdown(False)
         return normalized._execute(
             base.resolved_config(), base.resolved_cost_model(), base

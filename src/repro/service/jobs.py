@@ -72,7 +72,7 @@ class JobSpec:
     ``a`` and (for ``multiply``) ``b`` name matrices in the service's
     :class:`~repro.service.registry.MatrixRegistry`; ``rhs`` carries the
     vector operand of ``matvec``/``solve`` jobs inline.  ``params`` goes
-    verbatim to the solver (``method``, ``tol``, ``max_iterations``...).
+    verbatim to the solver (``method``, ``tolerance``, ``max_iterations``...).
 
     ``deadline_seconds`` is the job's total execution budget measured
     from submission; an expired budget cancels the job cooperatively

@@ -7,9 +7,9 @@ import sys
 from pathlib import Path
 
 # The lock-order sanitizer must patch the threading factories BEFORE
-# ``repro`` is imported: module-level locks (``_deprecations._lock``)
-# are created at import time.  Off by default; REPRO_SANITIZE=1 enables
-# it (see docs/STATIC_ANALYSIS.md).
+# ``repro`` is imported, or locks created at import time escape it.
+# Off by default; REPRO_SANITIZE=1 enables it (see
+# docs/STATIC_ANALYSIS.md).
 _SANITIZE = os.environ.get("REPRO_SANITIZE") == "1"
 if _SANITIZE:
     _repo_root = str(Path(__file__).resolve().parent.parent)
@@ -22,7 +22,7 @@ if _SANITIZE:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from repro import COOMatrix, SystemConfig, _deprecations  # noqa: E402
+from repro import COOMatrix, SystemConfig  # noqa: E402
 from repro.formats import coo_to_csr, coo_to_dense  # noqa: E402
 
 
@@ -39,14 +39,6 @@ def _lock_order_sanitizer():
         return
     report = _sanitize.verify()
     print(f"\n{report.summary()}")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_registry():
-    """Warn-once sites are process-global; isolate them per test."""
-    _deprecations.reset()
-    yield
-    _deprecations.reset()
 
 
 @pytest.fixture

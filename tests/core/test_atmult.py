@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import COOMatrix, CostModel, SystemConfig, atmult, build_at_matrix, multiply
+from repro import (
+    COOMatrix,
+    CostModel,
+    MultiplyOptions,
+    Session,
+    SystemConfig,
+    atmult,
+    build_at_matrix,
+)
 from repro.core.atmult import as_at_matrix, operand_density_map
 from repro.errors import MemoryLimitError, ShapeError
 from repro.kinds import StorageKind
@@ -63,7 +71,7 @@ class TestCorrectness:
 
     def test_multiply_wrapper(self, workload, small_config):
         a, b, at_a, at_b = workload
-        result, report = multiply(at_a, at_b, config=small_config)
+        result, report = Session(config=small_config).multiply(at_a, at_b)
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
         assert report.total_seconds >= 0
 
@@ -72,8 +80,8 @@ class TestReport:
     def test_phases_accounted(self, workload, small_config):
         _, _, at_a, at_b = workload
         _, report = atmult(at_a, at_b, config=small_config)
-        assert report.estimate_seconds > 0
-        assert report.multiply_seconds > 0
+        assert report.phase_seconds["estimate"] > 0
+        assert report.phase_seconds["multiply"] > 0
         assert 0 <= report.estimate_fraction < 1
         assert 0 <= report.optimize_fraction < 1
         assert report.kernel_counts
@@ -81,8 +89,12 @@ class TestReport:
 
     def test_estimation_disabled(self, workload, small_config):
         _, _, at_a, at_b = workload
-        _, report = atmult(at_a, at_b, config=small_config, use_estimation=False)
-        assert report.estimate_seconds == 0.0
+        _, report = atmult(
+            at_a,
+            at_b,
+            options=MultiplyOptions(config=small_config, use_estimation=False),
+        )
+        assert report.phase("estimate") == 0.0
         assert report.water_level is None
         # Without estimation every target tile is sparse.
         assert all(name.endswith("sp_gemm") for name in report.kernel_counts)
@@ -90,7 +102,9 @@ class TestReport:
     def test_dynamic_conversion_disabled(self, workload, small_config):
         a, b, at_a, at_b = workload
         result, report = atmult(
-            at_a, at_b, config=small_config, dynamic_conversion=False
+            at_a,
+            at_b,
+            options=MultiplyOptions(config=small_config, dynamic_conversion=False),
         )
         assert report.conversions == 0
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
@@ -102,7 +116,9 @@ class TestMemoryLimit:
         unlimited, _ = atmult(at_a, at_b, config=small_config)
         limit = unlimited.memory_bytes() * 2.0
         result, report = atmult(
-            at_a, at_b, config=small_config, memory_limit_bytes=limit
+            at_a,
+            at_b,
+            options=MultiplyOptions(config=small_config, memory_limit_bytes=limit),
         )
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
         assert report.water_level is not None
@@ -113,7 +129,11 @@ class TestMemoryLimit:
         # Force the all-sparse layout: limit just above the sparse size.
         sparse_size = unlimited.to_csr().memory_bytes()
         result, report = atmult(
-            at_a, at_b, config=small_config, memory_limit_bytes=sparse_size * 1.05
+            at_a,
+            at_b,
+            options=MultiplyOptions(
+                config=small_config, memory_limit_bytes=sparse_size * 1.05
+            ),
         )
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
         assert result.memory_bytes() <= sparse_size * 1.05
@@ -122,7 +142,11 @@ class TestMemoryLimit:
     def test_impossible_limit_raises(self, workload, small_config):
         _, _, at_a, at_b = workload
         with pytest.raises(MemoryLimitError):
-            atmult(at_a, at_b, config=small_config, memory_limit_bytes=16.0)
+            atmult(
+                at_a,
+                at_b,
+                options=MultiplyOptions(config=small_config, memory_limit_bytes=16.0),
+            )
 
     def test_limit_is_a_hard_guarantee(self, workload, small_config):
         """Even when the density estimate is off, the repair pass holds
@@ -133,7 +157,9 @@ class TestMemoryLimit:
         for slack in (1.01, 1.2, 1.5):
             limit = sparse_floor * slack
             result, _ = atmult(
-                at_a, at_b, config=small_config, memory_limit_bytes=limit
+                at_a,
+                at_b,
+                options=MultiplyOptions(config=small_config, memory_limit_bytes=limit),
             )
             assert result.memory_bytes() <= limit
             np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)

@@ -13,7 +13,7 @@ must hold.
 import numpy as np
 import pytest
 
-from repro import COOMatrix, SystemConfig, build_at_matrix
+from repro import COOMatrix, MultiplyOptions, SystemConfig, build_at_matrix
 from repro.core.atmult import atmult
 from repro.core.parallel import parallel_atmult
 from repro.errors import RetryExhaustedError, TaskFailedError
@@ -28,6 +28,7 @@ from repro.topology.system import SystemTopology
 CONFIG = SystemConfig(llc_bytes=8 * 1024, b_atomic=16)
 TOPOLOGY = SystemTopology(sockets=4, cores_per_socket=1)
 FAST_RETRIES = RetryPolicy(max_attempts=3, backoff_base_seconds=0.0)
+RESILIENT = MultiplyOptions(config=CONFIG, resilience=FAST_RETRIES)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ class TestAcceptanceCriterion:
         plan = FaultPlan(2, kernel_error_rate=0.12)
         with inject_faults(plan):
             result, report = parallel_atmult(
-                a, b, topology=TOPOLOGY, config=CONFIG, resilience=FAST_RETRIES
+                a, b, topology=TOPOLOGY, options=RESILIENT
             )
         injected = plan.count(FaultKind.KERNEL_ERROR)
         assert injected >= 0.10 * report.products  # >= 10% of tile products
@@ -80,7 +81,7 @@ class TestAcceptanceCriterion:
         plan = FaultPlan(seed, kernel_error_rate=0.12)
         with inject_faults(plan):
             result, report = parallel_atmult(
-                a, b, topology=TOPOLOGY, config=CONFIG, resilience=FAST_RETRIES
+                a, b, topology=TOPOLOGY, options=RESILIENT
             )
         failure = report.failure
         assert plan.raising_count == (
@@ -92,7 +93,7 @@ class TestAcceptanceCriterion:
         a, b = operands
         plan = FaultPlan(2, kernel_error_rate=0.12)
         with inject_faults(plan):
-            result, report = atmult(a, b, config=CONFIG, resilience=FAST_RETRIES)
+            result, report = atmult(a, b, options=RESILIENT)
         assert np.array_equal(result.to_dense(), clean_result)
         assert report.failure.retries == plan.raising_count
 
@@ -102,7 +103,7 @@ class TestExhaustion:
         a, b = operands
         plan = FaultPlan(0, kernel_error_rate=1.0)
         with inject_faults(plan), pytest.raises(RetryExhaustedError) as excinfo:
-            atmult(a, b, config=CONFIG, resilience=FAST_RETRIES)
+            atmult(a, b, options=RESILIENT)
         pair = excinfo.value.pair
         assert isinstance(pair, tuple) and len(pair) == 2
         assert excinfo.value.attempts == FAST_RETRIES.max_attempts
@@ -112,7 +113,7 @@ class TestExhaustion:
         plan = FaultPlan(0, kernel_error_rate=1.0)
         with inject_faults(plan), pytest.raises(TaskFailedError) as excinfo:
             parallel_atmult(
-                a, b, topology=TOPOLOGY, config=CONFIG, resilience=FAST_RETRIES
+                a, b, topology=TOPOLOGY, options=RESILIENT
             )
         error = excinfo.value
         assert error.pair_errors
@@ -159,9 +160,7 @@ class TestMemoryPressureDegradation:
                     a,
                     a,
                     topology=topo,
-                    config=CONFIG,
-                    memory_limit_bytes=limit,
-                    resilience=FAST_RETRIES,
+                    options=RESILIENT.replace(memory_limit_bytes=limit),
                 )
             assert result.memory_bytes() <= limit
             assert np.allclose(
@@ -181,7 +180,7 @@ class TestCorruptionGuard:
         plan = FaultPlan(3, corruption_rate=0.04)
         with inject_faults(plan):
             result, report = parallel_atmult(
-                a, a, topology=topo, config=CONFIG, resilience=FAST_RETRIES
+                a, a, topology=topo, options=RESILIENT
             )
         assert np.isfinite(result.to_dense()).all()
         assert np.array_equal(result.to_dense(), clean.to_dense())

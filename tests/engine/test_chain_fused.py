@@ -149,6 +149,15 @@ class TestChainCache:
             result.to_dense(), dense_reference(operands), atol=1e-10
         )
 
+    def test_session_front_door_does_not_warn(self, rng):
+        import warnings
+
+        operands = sparse_chain(rng, [48, 32, 40])
+        session = Session(config=CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            session.multiply_chain(list(operands))
+
 
 class TestBuildChainPlan:
     def test_build_chain_plan_surface(self, rng):
@@ -230,29 +239,6 @@ class TestPlanChainFixes:
         structural = plan_chain(list(operands), config=CONFIG, structural=True)
         # CSR patterns are fingerprinted exactly: both views agree.
         assert default.order == structural.order
-
-
-class TestDeprecations:
-    def test_multiply_chain_context_params_warn(self, rng):
-        operands = sparse_chain(rng, [48, 32])
-        with pytest.warns(DeprecationWarning, match="config"):
-            multiply_chain(list(operands), config=CONFIG)
-
-    def test_evaluate_context_params_warn(self, rng):
-        from repro.expr import M
-
-        operand = sparse_chain(rng, [48, 32])[0]
-        with pytest.warns(DeprecationWarning, match="config"):
-            (2.0 * M(operand)).evaluate(config=CONFIG)
-
-    def test_session_front_door_does_not_warn(self, rng):
-        import warnings
-
-        operands = sparse_chain(rng, [48, 32, 40])
-        session = Session(config=CONFIG)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session.multiply_chain(list(operands))
 
 
 class TestSolverPinning:

@@ -1,21 +1,27 @@
-"""MultiplyOptions and the legacy-keyword coercion helper."""
+"""MultiplyOptions, the context-keyword coercion helper, and the 2.0 cut."""
 
 from __future__ import annotations
 
 import warnings
 
-import numpy as np
 import pytest
 
+import repro
 from repro import (
     COOMatrix,
+    CostModel,
     MultiplyOptions,
+    MultiplyReport,
+    ParallelReport,
     atmult,
     build_at_matrix,
-    multiply,
+    multiply_chain,
     parallel_atmult,
+    plan,
 )
-from repro.engine.options import UNSET, coerce_options
+from repro.engine.executor import execute_plan
+from repro.engine.options import coerce_options
+from repro.expr import M
 from repro.topology import SystemTopology
 
 from ..conftest import heterogeneous_array
@@ -30,60 +36,22 @@ def operands(rng, small_config):
 
 class TestCoercion:
     def test_defaults_pass_through(self):
-        opts = coerce_options(None, where="atmult")
+        opts = coerce_options(None)
         assert opts == MultiplyOptions()
 
     def test_options_instance_is_used_verbatim(self):
         base = MultiplyOptions(use_estimation=False)
-        assert coerce_options(base, where="atmult") is base
-
-    def test_legacy_keyword_overrides_options_field(self):
-        base = MultiplyOptions(use_estimation=True)
-        with pytest.warns(DeprecationWarning):
-            opts = coerce_options(base, where="atmult", use_estimation=False)
-        assert opts.use_estimation is False
-
-    def test_unset_legacy_keyword_keeps_options_field(self):
-        base = MultiplyOptions(use_estimation=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opts = coerce_options(base, where="atmult", use_estimation=UNSET)
-        assert opts.use_estimation is False
+        assert coerce_options(base) is base
 
     def test_unknown_keyword_raises_type_error(self):
         with pytest.raises(TypeError, match="atmult"):
-            coerce_options(None, where="atmult", bogus=1)
+            atmult(None, None, bogus=1)
 
     def test_config_and_cost_model_fold_in_silently(self, small_config):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            opts = coerce_options(None, where="atmult", config=small_config)
+            opts = coerce_options(None, config=small_config)
         assert opts.config is small_config
-
-
-class TestOneConsolidatedWarning:
-    def test_atmult_emits_exactly_one_deprecation_warning(self, operands, small_config):
-        _, matrix = operands
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            atmult(
-                matrix,
-                matrix,
-                config=small_config,
-                memory_limit_bytes=None,
-                use_estimation=True,
-                dynamic_conversion=True,
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        # One warning naming every supplied keyword, not one per keyword.
-        assert "atmult()" in message
-        assert "memory_limit_bytes" in message
-        assert "use_estimation" in message
-        assert "dynamic_conversion" in message
 
     def test_options_only_call_is_warning_free(self, operands, small_config):
         _, matrix = operands
@@ -91,77 +59,91 @@ class TestOneConsolidatedWarning:
             warnings.simplefilter("error")
             atmult(matrix, matrix, options=MultiplyOptions(config=small_config))
 
-    def test_parallel_atmult_warns_once_and_names_itself(self, operands, small_config):
-        _, matrix = operands
-        topology = SystemTopology(sockets=2, cores_per_socket=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            parallel_atmult(
-                matrix, matrix, topology=topology, config=small_config, workers=2
+
+#: The 1.x keywords each multiply entry point took before ``MultiplyOptions``.
+LEGACY_KEYWORDS = {
+    "memory_limit_bytes": None,
+    "dynamic_conversion": True,
+    "use_estimation": True,
+    "resilience": None,
+    "observer": None,
+}
+TOPOLOGY = SystemTopology(sockets=2, cores_per_socket=1)
+
+
+def _atmult(matrix, **kwargs):
+    return atmult(matrix, matrix, **kwargs)
+
+
+def _parallel_atmult(matrix, **kwargs):
+    return parallel_atmult(matrix, matrix, topology=TOPOLOGY, **kwargs)
+
+
+def _multiply_chain(matrix, **kwargs):
+    return multiply_chain([matrix, matrix], **kwargs)
+
+
+def _evaluate(matrix, **kwargs):
+    return M(matrix).evaluate(**kwargs)
+
+
+def _execute_plan(matrix, **kwargs):
+    options = MultiplyOptions(config=matrix.config)
+    return execute_plan(
+        plan(matrix, matrix, options=options),
+        matrix,
+        matrix,
+        config=matrix.config,
+        cost_model=CostModel(),
+        **kwargs,
+    )
+
+
+def _removed_spellings():
+    entry_points = {
+        "atmult": (_atmult, LEGACY_KEYWORDS),
+        "parallel_atmult": (_parallel_atmult, {**LEGACY_KEYWORDS, "workers": 2}),
+        "multiply_chain": (_multiply_chain, LEGACY_KEYWORDS),
+    }
+    for entry, (call, keywords) in entry_points.items():
+        for name, value in keywords.items():
+            yield pytest.param(
+                call, {name: value}, TypeError, name, id=f"{entry}-{name}"
             )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "parallel_atmult()" in str(deprecations[0].message)
-
-
-class TestLegacyParity:
-    def test_legacy_kwargs_bit_identical_to_options(self, operands, small_config):
-        array, matrix = operands
-        with pytest.warns(DeprecationWarning):
-            legacy_result, legacy_report = atmult(
-                matrix,
-                matrix,
-                config=small_config,
-                memory_limit_bytes=None,
-                dynamic_conversion=True,
-                use_estimation=True,
-            )
-        options_result, options_report = atmult(
-            matrix,
-            matrix,
-            options=MultiplyOptions(
-                config=small_config,
-                memory_limit_bytes=None,
-                dynamic_conversion=True,
-                use_estimation=True,
-            ),
+    yield pytest.param(
+        _multiply_chain, {"return_report": False}, TypeError, "return_report",
+        id="multiply_chain-return_report",
+    )
+    yield pytest.param(
+        _multiply_chain, {"config": None}, TypeError, "config",
+        id="multiply_chain-config",
+    )
+    yield pytest.param(
+        _evaluate, {"config": None}, TypeError, "config", id="evaluate-config"
+    )
+    yield pytest.param(
+        _execute_plan, {"parallel": True}, TypeError, "parallel",
+        id="execute_plan-parallel",
+    )
+    for report, name in (
+        (MultiplyReport, "estimate_seconds"),
+        (MultiplyReport, "optimize_seconds"),
+        (MultiplyReport, "multiply_seconds"),
+        (ParallelReport, "wall_seconds"),
+    ):
+        yield pytest.param(
+            lambda _matrix, report=report, name=name: getattr(report(), name),
+            {}, AttributeError, name, id=f"{report.__name__}-{name}",
         )
-        assert np.array_equal(
-            legacy_result.to_dense(), options_result.to_dense()
-        )
-        assert legacy_result.nnz == options_result.nnz
-        assert legacy_report.kernel_counts == options_report.kernel_counts
-        assert legacy_report.write_threshold == options_report.write_threshold
-
-    def test_ablated_legacy_matches_ablated_options(self, operands, small_config):
-        _, matrix = operands
-        with pytest.warns(DeprecationWarning):
-            legacy_result, _ = atmult(
-                matrix, matrix, config=small_config, use_estimation=False
-            )
-        options_result, _ = atmult(
-            matrix,
-            matrix,
-            options=MultiplyOptions(config=small_config, use_estimation=False),
-        )
-        assert np.array_equal(
-            legacy_result.to_dense(), options_result.to_dense()
-        )
+    yield pytest.param(
+        lambda _matrix: repro.multiply, {}, AttributeError, "multiply",
+        id="repro-multiply",
+    )
 
 
-class TestMultiplyReturnShape:
-    def test_multiply_returns_result_and_report(self, operands, small_config):
-        array, matrix = operands
-        result, report = multiply(matrix, matrix, config=small_config)
-        np.testing.assert_allclose(result.to_dense(), array @ array, atol=1e-10)
-        assert report.total_seconds >= 0
-
-    def test_result_only_shape_is_deprecated(self, operands, small_config):
-        array, matrix = operands
-        with pytest.warns(DeprecationWarning, match="return_report"):
-            result = multiply(
-                matrix, matrix, config=small_config, return_report=False
-            )
-        np.testing.assert_allclose(result.to_dense(), array @ array, atol=1e-10)
+@pytest.mark.parametrize("call,kwargs,error,name", list(_removed_spellings()))
+def test_removed_spelling_fails_loudly(operands, call, kwargs, error, name):
+    """Every spelling removed in 2.0 raises instead of running."""
+    _, matrix = operands
+    with pytest.raises(error, match=name):
+        call(matrix, **kwargs)

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from repro import (
     COOMatrix,
     CostModel,
+    MultiplyOptions,
     SystemConfig,
     SystemTopology,
     WorkerTeamScheduler,
@@ -95,7 +96,9 @@ def test_memory_limited_pipeline():
     at = build_at_matrix(staged, CONFIG)
     unlimited, _ = atmult(at, at, config=CONFIG)
     limit = unlimited.to_csr().memory_bytes() * 1.2
-    bounded, report = atmult(at, at, config=CONFIG, memory_limit_bytes=limit)
+    bounded, report = atmult(
+        at, at, options=MultiplyOptions(config=CONFIG, memory_limit_bytes=limit)
+    )
     assert bounded.memory_bytes() <= limit
     assert report.water_level is not None
     assert bounded.to_csr().nnz == unlimited.to_csr().nnz

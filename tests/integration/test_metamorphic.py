@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     COOMatrix,
+    MultiplyOptions,
     SystemConfig,
     add,
     atmult,
@@ -98,7 +99,7 @@ class TestAlgebraicIdentities:
         bc, _ = atmult(b, c, config=CONFIG)
         right, _ = atmult(a, bc, config=CONFIG)
         np.testing.assert_allclose(left.to_dense(), right.to_dense(), atol=1e-8)
-        chained, _ = multiply_chain([a, b, c], config=CONFIG)
+        chained, _ = multiply_chain([a, b, c], options=MultiplyOptions(config=CONFIG))
         np.testing.assert_allclose(
             chained.to_dense(), left.to_dense(), atol=1e-8
         )

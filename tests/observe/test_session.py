@@ -5,7 +5,7 @@ from __future__ import annotations
 import contextlib
 import threading
 
-from repro import COOMatrix, atmult, build_at_matrix, observe
+from repro import COOMatrix, MultiplyOptions, atmult, build_at_matrix, observe
 from repro.observe import Observation, activate, current
 from repro.observe import session as observe_session
 
@@ -61,7 +61,11 @@ class TestObserverKeyword:
         array = heterogeneous_array(rng, 64, 64, background=0.05)
         matrix = build_at_matrix(COOMatrix.from_dense(array), small_config)
         observer = Observation()
-        _, report = atmult(matrix, matrix, config=small_config, observer=observer)
+        _, report = atmult(
+            matrix,
+            matrix,
+            options=MultiplyOptions(config=small_config, observer=observer),
+        )
         assert report.observation is observer
         assert len(observer.tracer) > 0
         assert observer.metrics.names()

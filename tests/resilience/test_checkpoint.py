@@ -16,6 +16,7 @@ from repro import (
     atmult,
     build_at_matrix,
     parallel_atmult,
+    plan,
 )
 from repro.errors import IntegrityError
 from repro.topology.system import SystemTopology
@@ -187,3 +188,31 @@ class TestParallelCheckpoint:
         assert second_report.pairs_executed == 0
         assert second_report.failure.pairs_resumed == first_report.pairs_executed
         assert np.array_equal(second.to_dense(), first.to_dense())
+
+    def test_parallel_run_resumes_partial_journal_in_pair_order(
+        self, workload, small_config, tmp_path
+    ):
+        _, _, at_a, at_b = workload
+        options = MultiplyOptions(config=small_config)
+        pairs = plan(at_a, at_b, options=options).pairs
+        sequential, _ = atmult(at_a, at_b, options=options)
+        run(at_a, at_b, small_config, tmp_path)
+        # Lose the journal records of the first pairs, so the resumed
+        # pairs are not a prefix of the plan's pair order.
+        for pair in pairs[:3]:
+            (tmp_path / "pairs" / f"pair-{pair.ti:05d}-{pair.tj:05d}.npz").unlink()
+
+        resumed, report = parallel_atmult(
+            at_a,
+            at_b,
+            topology=SystemTopology(sockets=2, cores_per_socket=1),
+            options=options.replace(
+                checkpoint=CheckpointStore(tmp_path, resume=True)
+            ),
+        )
+        assert np.array_equal(resumed.to_dense(), sequential.to_dense())
+        assert report.pairs_executed == 3
+        assert report.failure.pairs_resumed + report.pairs_executed == len(pairs)
+        assert [(t.row0, t.col0) for t in resumed.tiles] == [
+            (t.row0, t.col0) for t in sequential.tiles
+        ]

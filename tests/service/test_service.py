@@ -121,6 +121,29 @@ class TestMultiTenantAcceptance:
         residual = dense_of(registry, "SPD") @ solution - rhs
         assert np.linalg.norm(residual) < 1e-6
 
+    def test_solve_job_meets_documented_tolerance_param(
+        self, registry, tmp_path, rng
+    ):
+        """``params={"tolerance": ...}``, the spelling JobSpec documents."""
+        rhs = rng.random(48)
+        tolerance = 1e-8
+
+        async def scenario():
+            async with MatrixService(
+                registry, job_dir=tmp_path / "jobs"
+            ) as service:
+                job_id = await service.submit(
+                    tenant="t1", op="solve", a="SPD", rhs=rhs,
+                    params={"tolerance": tolerance},
+                )
+                status = await service.wait(job_id, timeout=120.0)
+                assert status.state is JobState.DONE, status.error
+                return await service.result(job_id)
+
+        solution = run(scenario())
+        residual = dense_of(registry, "SPD") @ solution - rhs
+        assert np.linalg.norm(residual) <= tolerance * np.linalg.norm(rhs)
+
 
 class TestAdmissionAndQuotas:
     def test_oversized_job_rejected_smaller_job_proceeds(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import (
     COOMatrix,
+    MultiplyOptions,
     SystemConfig,
     atmult,
     atmv,
@@ -51,7 +52,9 @@ class TestDegenerateShapes:
         eye = build_at_matrix(COOMatrix.from_dense(np.eye(n)), CONFIG)
         data = rng.random((n, n))
         at = build_at_matrix(COOMatrix.from_dense(data), CONFIG)
-        result, _ = multiply_chain([eye, at, eye], config=CONFIG)
+        result, _ = multiply_chain(
+            [eye, at, eye], options=MultiplyOptions(config=CONFIG)
+        )
         np.testing.assert_allclose(result.to_dense(), data, atol=1e-12)
 
     def test_atmv_single_column(self):

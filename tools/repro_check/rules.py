@@ -26,8 +26,8 @@ _MUTATOR_METHODS = frozenset(
     }
 )
 
-#: The deprecated multiply keywords (mirrors
-#: ``repro.engine.options.LEGACY_OPTION_KEYWORDS`` plus ``return_report``).
+#: The multiply keywords removed in 2.0 in favour of ``MultiplyOptions``
+#: fields, plus ``return_report``.
 _LEGACY_KEYWORDS = frozenset(
     {
         "memory_limit_bytes", "dynamic_conversion", "use_estimation",
@@ -35,7 +35,7 @@ _LEGACY_KEYWORDS = frozenset(
     }
 )
 
-#: Entry points whose legacy keywords are deprecated (RPR004 callees).
+#: Entry points whose legacy keywords were removed (RPR004 callees).
 _LEGACY_ENTRY_POINTS = frozenset(
     {"atmult", "parallel_atmult", "multiply", "multiply_chain", "evaluate"}
 )
@@ -564,7 +564,7 @@ def _mutated_attr(node: ast.AST, state_attrs: set[str]) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# RPR004: no internal use of deprecated legacy kwargs
+# RPR004: no internal use of the removed legacy kwargs
 # ---------------------------------------------------------------------------
 
 
@@ -572,9 +572,9 @@ def _mutated_attr(node: ast.AST, state_attrs: set[str]) -> str | None:
 class LegacyKeywordRule:
     """Inside src/repro, multiply entry points take ``options=`` only.
 
-    The deprecated keyword surface exists for downstream callers during
-    migration; internal call sites using it would warn at every call and
-    re-entrench the sprawl ``MultiplyOptions`` removed.
+    The loose keyword surface was removed in 2.0; this rule keeps
+    internal call sites from bringing back the sprawl
+    ``MultiplyOptions`` replaced.
     """
 
     code: str = "RPR004"

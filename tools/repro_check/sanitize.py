@@ -20,9 +20,8 @@ After the run, :func:`verify` cross-checks the observed graph:
 
 Locks created outside ``src/repro`` (pytest internals, stdlib pools,
 test helpers) pass through unwrapped, so overhead and noise stay
-negligible.  The patch must be installed before ``repro`` is imported:
-module-level locks (``_deprecations._lock``) are created at import
-time.
+negligible.  The patch must be installed before ``repro`` is imported,
+or locks created at import time escape it.
 """
 
 from __future__ import annotations
