@@ -9,15 +9,17 @@ instead of re-running dynamic-programming parenthesization, density
 estimation and per-hop plan construction on every call.  This bench
 quantifies that on two workloads:
 
-* a **repeated 4-matrix chain** — cache-less ``multiply_chain`` (the
-  legacy barrier-per-hop loop, re-planning every run) versus warm
+* a **repeated 4-matrix chain** — cache-less ``multiply_chain`` (a
+  cold chain run: parenthesization and every hop's plan rebuilt on every
+  run, hops run in order) versus warm
   :meth:`repro.Session.multiply_chain` replays of one fused plan, and
 * a **conjugate-gradient solve** through a Session, which must pin one
   fused matvec plan after a single cache hit and replay it for every
   remaining iteration (``hits == 1 < iterations``).
 
-Both paths execute identical kernels; the difference is planning
-overhead plus the barrier-per-hop materialization. Results land in
+Both paths run their pairs through the same chain step and identical
+kernels; the difference is planning overhead plus the hop-by-hop order
+of the cold run. Results land in
 ``BENCH_chain.json`` and the process exits non-zero when the fused path
 is not at least ``--min-speedup`` times faster or the solver fails to
 pin its plan — CI runs this as a regression gate.
@@ -96,7 +98,7 @@ def build_solver_system() -> tuple[object, np.ndarray, int]:
 
 
 def run_unfused(operands) -> float:
-    """CHAIN_RUNS cache-less chain products: legacy per-hop re-planning."""
+    """CHAIN_RUNS cache-less chain products: cold runs, re-planned every time."""
     options = MultiplyOptions(config=CONFIG)
     start = time.perf_counter()
     for _ in range(CHAIN_RUNS):

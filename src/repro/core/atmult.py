@@ -45,27 +45,24 @@ from ..config import SystemConfig
 from ..cost.model import CostModel
 from ..engine.api import resolve_plan
 from ..engine.cache import PlanCache
-from ..engine.executor import _payload_kind, _seed_accumulator, execute_plan
+from ..engine.executor import execute_plan
 from ..engine.options import MultiplyOptions, coerce_options
 from ..engine.plan import ExecutionPlan
 from ..errors import ShapeError
 from ..formats.dense import DenseMatrix
 from ..observe import session as observe_session
 from .atmatrix import ATMatrix
-from .operands import MatrixOperand, _csr_row_ids, as_at_matrix, operand_density_map
+from .operands import MatrixOperand, as_at_matrix, operand_density_map
 from .report import BaseReport, MultiplyReport
 
-# Pre-engine call sites imported these from here; their homes are now
-# repro.core.operands and repro.engine.executor.
+# Pre-engine call sites imported these from here; their home is now
+# repro.core.operands.
 __all__ = [
     "MatrixOperand",
     "as_at_matrix",
     "atmult",
     "enforce_memory_limit",
     "operand_density_map",
-    "_csr_row_ids",
-    "_payload_kind",
-    "_seed_accumulator",
 ]
 
 logger = logging.getLogger("repro.atmult")

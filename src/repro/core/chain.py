@@ -10,8 +10,9 @@ possible parenthesization with the classic interval dynamic program, but
 scores each split with the *kernel cost model* applied to the estimated
 operand densities instead of the dense flop count ``m*k*n``.
 
-The returned plan is executed with ATMULT, so every intermediate product
-is itself an adaptive tile matrix with cost-optimized kernels.
+The returned plan is executed by the engine's chain step
+(:func:`repro.engine.api.run_chain`), so every intermediate product is
+itself an adaptive tile matrix with cost-optimized kernels.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from ..config import DEFAULT_CONFIG, SystemConfig
 from ..cost.model import CostModel
 from ..density.estimate import estimate_product_density
 from ..density.map import DensityMap
-from ..engine.options import MultiplyOptions
+from ..engine.options import MultiplyOptions, reject_checkpoint
 from ..errors import ShapeError
 from ..kinds import StorageKind
 from ..observe import session as observe_session
 from .atmatrix import ATMatrix
-from .atmult import MatrixOperand, atmult, operand_density_map
-from .operands import as_at_matrix
+from .operands import MatrixOperand, as_at_matrix, operand_density_map
 from .report import BaseReport, MultiplyReport
 
 
@@ -83,7 +83,6 @@ def plan_chain(
     *,
     config: SystemConfig | None = None,
     cost_model: CostModel | None = None,
-    structural: bool = False,
 ) -> ChainPlan:
     """Find the cheapest parenthesization of ``A1 @ A2 @ ... @ An``.
 
@@ -92,10 +91,10 @@ def plan_chain(
     of the enclosing products and their own estimates — mirroring how a
     relational optimizer propagates cardinalities through join trees.
 
-    ``structural=True`` scores the DP on the planner's structural
-    density view (dense payloads contribute their fingerprint-quantized
-    density), making the returned plan a pure function of the operands'
-    structure fingerprints — what the fused chain cache requires.
+    The DP scores the planner's structural density view (dense payloads
+    contribute their fingerprint-quantized density), so the returned
+    plan is a pure function of the operands' structure fingerprints —
+    what the fused chain cache requires.
     """
     config = config or DEFAULT_CONFIG
     cost_model = cost_model or CostModel()
@@ -115,7 +114,7 @@ def plan_chain(
     costs = [[0.0] * n for _ in range(n)]
     splits = [[0] * n for _ in range(n)]
     for i, operand in enumerate(operands):
-        maps[i][i] = operand_density_map(operand, config, structural=structural)
+        maps[i][i] = operand_density_map(operand, config, structural=True)
 
     for length in range(2, n + 1):
         for i in range(0, n - length + 1):
@@ -217,62 +216,33 @@ def multiply_chain(
     *,
     options: MultiplyOptions | None = None,
 ) -> tuple[ATMatrix, ChainReport]:
-    """Plan and execute a matrix chain with ATMULT.
+    """Plan and execute a matrix chain.
 
     Returns ``(product, report)`` where the :class:`ChainReport` carries
     the executed :class:`ChainPlan` (``report.plan``, with ``order``/
     ``parenthesization()`` available directly on the report) plus the
     aggregated phase and kernel statistics of every step.  Each
     intermediate is an AT Matrix, so later products in the chain keep
-    benefiting from the tile-granular optimization; with a plan cache in
-    ``options`` every step's plan is reused across repeated chain runs.
+    benefiting from the tile-granular optimization.
 
-    With a plan cache (and no resilience/checkpoint/memory-limit
-    context), the chain routes through the engine's fused chain planner:
-    the first run records a whole-chain
-    :class:`~repro.engine.plan.FusedChainPlan` and every later run of
-    the same chain replays it from one cache hit with cross-hop
-    interleaved execution (``report.fused`` / ``report.plan_cache_hit``
-    say which path ran).  :meth:`Session.multiply_chain
-    <repro.Session.multiply_chain>` always has a plan cache.
+    Chains of two or more operands run through
+    :func:`repro.engine.api.run_chain`: with a plan cache in ``options``
+    (and no retry policy or memory limit) later runs of the same chain
+    replay a cached :class:`~repro.engine.plan.FusedChainPlan`
+    (``report.fused`` / ``report.plan_cache_hit`` say which path ran).
+    A checkpoint store in ``options`` raises
+    :class:`~repro.errors.ConfigError`: it journals a single product.
     """
     opts = options if options is not None else MultiplyOptions()
-    resolved_config = opts.resolved_config()
-    resolved_model = opts.resolved_cost_model()
-
-    fusable = (
-        len(operands) >= 2
-        and opts.plan_cache is not None
-        and opts.resilience is None
-        and opts.checkpoint is None
-        and opts.memory_limit_bytes is None
-    )
-    if fusable:
-        from ..engine.api import run_chain
-
-        with observe_session.resolve(opts.observer) as obs:
-            product, report, _fused = run_chain(operands, options=opts, obs=obs)
-        return product, report
-
+    reject_checkpoint(opts, "multiply_chain")
     with observe_session.resolve(opts.observer) as obs:
+        if len(operands) >= 2:
+            from ..engine.api import run_chain
+
+            product, report, _fused = run_chain(operands, options=opts, obs=obs)
+            return product, report
+        config = opts.resolved_config()
         report = ChainReport(observation=obs)
         with observe_session.tracer_span(obs, "chain_plan"):
-            plan = plan_chain(
-                operands, config=resolved_config, cost_model=resolved_model
-            )
-        report.plan = plan
-        if len(operands) == 1:
-            return as_at_matrix(operands[0], resolved_config), report
-
-        results: dict[tuple[int, int], MatrixOperand] = {
-            (i, i): operand for i, operand in enumerate(operands)
-        }
-        product: ATMatrix | None = None
-        for i, k, j in plan.order:
-            left = results[(i, k)]
-            right = results[(k + 1, j)]
-            product, step_report = atmult(left, right, options=opts)
-            report.merge_step(step_report)
-            results[(i, j)] = product
-        assert product is not None
-        return product, report
+            report.plan = plan_chain(operands, config=config, cost_model=opts.resolved_cost_model())
+        return as_at_matrix(operands[0], config), report

@@ -23,8 +23,8 @@ from ..cost.model import CostModel
 from ..errors import PlanMismatchError, ShapeError
 from ..observe import Observation
 from ..observe import session as observe_session
-from .cache import ChainKey, PlanKey
-from .executor import execute_fused_chain, execute_plan
+from .cache import ChainKey, PlanCache, PlanKey
+from .executor import ChainRun, FusedChainOutcome, execute_fused_chain, execute_plan
 from .options import MultiplyOptions, coerce_options
 from .plan import (
     ExecutionPlan,
@@ -34,11 +34,7 @@ from .plan import (
     build_plan,
     fused_chain_schedule,
 )
-from .fingerprint import (
-    config_fingerprint,
-    payload_fingerprint,
-    structure_fingerprint,
-)
+from .fingerprint import config_fingerprint, structure_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.chain import ChainPlan, ChainReport
@@ -60,32 +56,16 @@ def resolve_plan(
     caller's report).
     """
     cache = options.plan_cache
-    if cache is None:
-        built = build_plan(
-            at_a,
-            at_b,
-            config=config,
-            cost_model=cost_model,
-            memory_limit_bytes=options.memory_limit_bytes,
-            dynamic_conversion=options.dynamic_conversion,
-            use_estimation=options.use_estimation,
-            obs=obs,
+    key: PlanKey | None = None
+    if cache is not None:
+        key = PlanKey(
+            structure_fingerprint(at_a),
+            structure_fingerprint(at_b),
+            _setup_key(options, config, cost_model),
         )
-        return built, True
-    key = PlanKey(
-        structure_fingerprint(at_a),
-        structure_fingerprint(at_b),
-        config_fingerprint(
-            config,
-            cost_model,
-            memory_limit_bytes=options.memory_limit_bytes,
-            dynamic_conversion=options.dynamic_conversion,
-            use_estimation=options.use_estimation,
-        ),
-    )
-    cached = cache.get(key)
-    if cached is not None:
-        return cached, False
+        cached = cache.get(key)
+        if cached is not None:
+            return cached, False
     built = build_plan(
         at_a,
         at_b,
@@ -96,8 +76,20 @@ def resolve_plan(
         use_estimation=options.use_estimation,
         obs=obs,
     )
-    cache.put(key, built)
+    if cache is not None and key is not None:
+        cache.put(key, built)
     return built, True
+
+
+def _setup_key(options: MultiplyOptions, config: SystemConfig, cost_model: CostModel) -> str:
+    """The configuration half of plan and chain cache keys."""
+    return config_fingerprint(
+        config,
+        cost_model,
+        memory_limit_bytes=options.memory_limit_bytes,
+        dynamic_conversion=options.dynamic_conversion,
+        use_estimation=options.use_estimation,
+    )
 
 
 def plan(
@@ -175,118 +167,33 @@ def execute(
     return result, report
 
 
-def _expected_tiles(
-    execution_plan: ExecutionPlan, result: ATMatrix
-) -> tuple[
-    tuple[int | None, ...], tuple[tuple[int, int, int, int, str, str], ...]
-]:
-    """Per-pair output-tile indices and tile identities of one hop.
+def chain_cache(options: MultiplyOptions) -> PlanCache | None:
+    """The cache a chain is stored in and looked up from, if any.
 
-    Sequential execution appends each pair's result tile (when any) in
-    pair order, so walking pairs and tiles in lockstep — matching on the
-    pair's output region origin — recovers which pair produced which
-    tile.  The identity tuples (geometry, storage kind, payload
-    fingerprint) are what the fused executor validates replayed tiles
-    against.
+    None with a retry policy or a memory limit: retries may degrade a
+    hop's tiles and a limit demotes them, which a replay would not repeat.
     """
-    tiles = result.tiles
-    tile_of_pair: list[int | None] = []
-    cursor = 0
-    for pair in execution_plan.pairs:
-        if (
-            cursor < len(tiles)
-            and tiles[cursor].row0 == pair.r0
-            and tiles[cursor].col0 == pair.c0
-        ):
-            tile_of_pair.append(cursor)
-            cursor += 1
-        else:
-            tile_of_pair.append(None)
-    assert cursor == len(tiles)  # every result tile belongs to some pair
-    expected = tuple(
-        (
-            tile.row0,
-            tile.col0,
-            tile.rows,
-            tile.cols,
-            tile.kind.value,
-            payload_fingerprint(tile.data),
-        )
-        for tile in tiles
+    if options.resilience is not None or options.memory_limit_bytes is not None:
+        return None
+    return options.plan_cache
+
+
+def _chain_report(
+    chain: ChainPlan, outcome: FusedChainOutcome, obs: Observation | None, *, replay: bool
+) -> ChainReport:
+    from ..core.chain import ChainReport
+
+    report = ChainReport(
+        observation=obs,
+        plan=chain,
+        fused=replay,
+        plan_cache_hit=replay,
+        intermediates_freed=outcome.intermediates_freed,
+        peak_intermediate_bytes=outcome.peak_intermediate_bytes,
     )
-    return tuple(tile_of_pair), expected
-
-
-def _run_chain_cold(
-    ats: list[ATMatrix],
-    chain: ChainPlan,
-    *,
-    options: MultiplyOptions,
-    config: SystemConfig,
-    cost_model: CostModel,
-    report: ChainReport,
-    obs: Observation | None,
-) -> tuple[ATMatrix, list[PlannedHop]]:
-    """Execute a chain hop-by-hop, recording fused replay metadata.
-
-    Each hop resolves through the options' plan cache (sharing per-hop
-    entries with plain ``atmult`` calls) and executes sequentially, so
-    the recorded ``tile_of_pair``/``expected_tiles`` describe exactly
-    what a fused replay must reproduce.
-    """
-    from ..core.atmult import _fold_plan_phases
-
-    sources: dict[tuple[int, int], HopSource] = {
-        (i, i): HopSource("leaf", i) for i in range(len(ats))
-    }
-    results: dict[tuple[int, int], ATMatrix] = {
-        (i, i): at for i, at in enumerate(ats)
-    }
-    hops: list[PlannedHop] = []
-    product: ATMatrix | None = None
-    for i, k, j in chain.order:
-        left = results[(i, k)]
-        right = results[(k + 1, j)]
-        hop_plan, fresh = resolve_plan(
-            left,
-            right,
-            config=config,
-            cost_model=cost_model,
-            options=options,
-            obs=obs,
-        )
-        product, step_report = execute_plan(
-            hop_plan,
-            left,
-            right,
-            config=config,
-            cost_model=cost_model,
-            obs=obs,
-            check_fingerprints=False,
-            cancel=options.cancel,
-        )
-        assert isinstance(step_report, MultiplyReport)
-        if fresh:
-            _fold_plan_phases(step_report, hop_plan)
-        report.merge_step(step_report)
-        tile_of_pair, expected = _expected_tiles(hop_plan, product)
-        hops.append(
-            PlannedHop(
-                i=i,
-                k=k,
-                j=j,
-                a_source=sources[(i, k)],
-                b_source=sources[(k + 1, j)],
-                plan=hop_plan,
-                out_fingerprint=structure_fingerprint(product),
-                tile_of_pair=tile_of_pair,
-                expected_tiles=expected,
-            )
-        )
-        sources[(i, j)] = HopSource("hop", len(hops) - 1)
-        results[(i, j)] = product
-    assert product is not None
-    return product, hops
+    for step in outcome.steps:
+        report.merge_step(step)
+    return report
 
 
 def run_chain(
@@ -294,19 +201,17 @@ def run_chain(
     *,
     options: MultiplyOptions,
     obs: Observation | None,
-) -> tuple[ATMatrix, ChainReport, FusedChainPlan | None]:
-    """Run a matrix chain through the fused chain planner.
+) -> tuple[ATMatrix, ChainReport, FusedChainPlan]:
+    """Run a matrix chain of two or more operands.
 
-    With a plan cache in ``options`` and a matching
-    :class:`~repro.engine.plan.FusedChainPlan` cached, the whole chain
-    replays as one interleaved fused execution (intermediates consumed
-    while resident, freed eagerly).  Otherwise the chain is planned and
-    run cold — hop by hop, recording replay metadata — and the resulting
-    fused plan is cached for the next run.  Returns
-    ``(result, report, fused_plan)``; the report's ``fused`` /
-    ``plan_cache_hit`` flags say which path ran.
+    Replays the :class:`~repro.engine.plan.FusedChainPlan` cached under
+    :func:`chain_cache`, if any; otherwise runs cold, hop by hop through
+    :class:`ChainRun`, each hop's plan resolved through
+    :func:`resolve_plan`, and records (and caches) the fused plan.
+    Returns ``(result, report, fused_plan)``.
     """
-    from ..core.chain import ChainReport, plan_chain
+    from ..core.atmult import _fold_plan_phases
+    from ..core.chain import plan_chain
 
     if len(operands) < 2:
         raise ShapeError(
@@ -316,15 +221,9 @@ def run_chain(
     resolved_model = options.resolved_cost_model()
     ats = [as_at_matrix(operand, resolved_config) for operand in operands]
     fingerprints = tuple(structure_fingerprint(at) for at in ats)
-    setup = config_fingerprint(
-        resolved_config,
-        resolved_model,
-        memory_limit_bytes=options.memory_limit_bytes,
-        dynamic_conversion=options.dynamic_conversion,
-        use_estimation=options.use_estimation,
-    )
+    setup = _setup_key(options, resolved_config, resolved_model)
     key = ChainKey(fingerprints, setup)
-    cache = options.plan_cache
+    cache = chain_cache(options)
 
     if cache is not None:
         cached = cache.get(key)
@@ -337,6 +236,7 @@ def run_chain(
                     cost_model=resolved_model,
                     obs=obs,
                     check_fingerprints=False,
+                    cancel=options.cancel,
                 )
             except PlanMismatchError:
                 # Operand values changed the intermediate topology the
@@ -344,34 +244,52 @@ def run_chain(
                 # the stale entry).
                 pass
             else:
-                report = ChainReport(observation=obs)
-                report.plan = cached.chain
-                report.fused = True
-                report.plan_cache_hit = True
-                for step in outcome.steps:
-                    report.merge_step(step)
-                report.intermediates_freed = outcome.intermediates_freed
-                report.peak_intermediate_bytes = outcome.peak_intermediate_bytes
+                report = _chain_report(cached.chain, outcome, obs, replay=True)
                 return result, report, cached
 
-    report = ChainReport(observation=obs)
     with observe_session.tracer_span(obs, "chain_plan"):
-        chain = plan_chain(
-            list(ats),
-            config=resolved_config,
-            cost_model=resolved_model,
-            structural=True,
-        )
-    report.plan = chain
-    result, hops = _run_chain_cold(
+        chain = plan_chain(list(ats), config=resolved_config, cost_model=resolved_model)
+    run = ChainRun(
         ats,
-        chain,
-        options=options,
+        len(chain.order),
         config=resolved_config,
         cost_model=resolved_model,
-        report=report,
         obs=obs,
+        resilience=options.resilience,
+        cancel=options.cancel,
     )
+    # Sub-chain (i, j) -> where its product comes from, and the product.
+    done: dict[tuple[int, int], tuple[HopSource, ATMatrix]] = {
+        (i, i): (HopSource("leaf", i), at) for i, at in enumerate(ats)
+    }
+    hops: list[PlannedHop] = []
+    for h, (i, k, j) in enumerate(chain.order):
+        (a_source, left), (b_source, right) = done[(i, k)], done[(k + 1, j)]
+        hop_plan, fresh = resolve_plan(
+            left,
+            right,
+            config=resolved_config,
+            cost_model=resolved_model,
+            options=options,
+            obs=obs,
+        )
+        product, step_report = run.run_hop(hop_plan, a_source, b_source)
+        if fresh:
+            _fold_plan_phases(step_report, hop_plan)
+        hops.append(
+            PlannedHop(
+                i=i,
+                k=k,
+                j=j,
+                a_source=a_source,
+                b_source=b_source,
+                plan=hop_plan,
+                tile_of_pair=tuple(run.tile_of_pair[h]),
+                expected_tiles=tuple(run.expected_tiles[h]),
+            )
+        )
+        done[(i, j)] = (HopSource("hop", h), product)
+
     schedule, frees = fused_chain_schedule(tuple(hops))
     fused = FusedChainPlan(
         operand_fingerprints=fingerprints,
@@ -380,8 +298,9 @@ def run_chain(
         hops=tuple(hops),
         schedule=schedule,
         frees=frees,
-        shape=(result.rows, result.cols),
+        shape=(product.rows, product.cols),
     )
     if cache is not None:
         cache.put(key, fused)
-    return result, report, fused
+    report = _chain_report(chain, run.outcome(), obs, replay=False)
+    return product, report, fused

@@ -83,6 +83,7 @@ from .plan import (
     ExecutionPlan,
     FusedChainPlan,
     HopSource,
+    PlannedHop,
     PlannedPair,
     _DecisionMemo,
 )
@@ -727,7 +728,7 @@ def _run_on_pool(
 
 @dataclass
 class FusedChainOutcome:
-    """Execution-side summary of one fused chain replay.
+    """Execution-side summary of one chain run.
 
     One sequential-style :class:`~repro.core.report.MultiplyReport` per
     hop (in hop order), plus the lifetime accounting the eager freeing
@@ -740,6 +741,181 @@ class FusedChainOutcome:
     peak_intermediate_bytes: int = 0
 
 
+def _tile_identity(tile: Tile) -> tuple[int, int, int, int, str, str]:
+    """What a fused plan records of one output tile: geometry, kind, payload."""
+    geometry = (tile.row0, tile.col0, tile.rows, tile.cols)
+    return (*geometry, tile.kind.value, payload_fingerprint(tile.data))
+
+
+class ChainRun:
+    """The one code path that runs a matrix chain's tile pairs.
+
+    Each hop (:meth:`add_hop`, in chain order) gets one
+    :class:`PairComputer` and one report, and its output grows in a
+    :class:`TileListView` that later hops read while it is produced.  A
+    cold run (:meth:`run_hop`) *records* which pair made which tile; a
+    replay (:func:`execute_fused_chain`) *checks* each tile against it.
+    """
+
+    def __init__(
+        self,
+        leaves: Sequence[ATMatrix],
+        hops: int,
+        *,
+        config: SystemConfig,
+        cost_model: CostModel,
+        obs: Observation | None = None,
+        resilience: RetryPolicy | None = None,
+        cancel: CancelToken | None = None,
+    ) -> None:
+        self.leaves = leaves
+        self.root = hops - 1
+        self.config = config
+        self.cost_model = cost_model
+        self.obs = obs
+        self.resilience = resilience
+        self.cancel = cancel
+        self.views: list[TileListView] = []
+        self.computers: list[PairComputer] = []
+        self.reports: list[MultiplyReport] = []
+        self.tile_of_pair: list[list[int | None]] = []
+        self.expected_tiles: list[list[tuple[int, int, int, int, str, str]]] = []
+        self.current_bytes = self.peak_bytes = self.freed = 0
+
+    def add_hop(
+        self, plan: ExecutionPlan, a_source: HopSource, b_source: HopSource
+    ) -> MultiplyReport:
+        """Set up the next hop's pair computer, report and output view."""
+        a, b = (
+            self.leaves[source.index] if source.kind == "leaf" else self.views[source.index]
+            for source in (a_source, b_source)
+        )
+        report = MultiplyReport(
+            observation=self.obs,
+            write_threshold=plan.write_threshold,
+            water_level=plan.water_level,
+        )
+        computer = PairComputer(
+            plan,
+            a,
+            b,
+            cost_model=self.cost_model,
+            obs=self.obs,
+            resilience=self.resilience,
+            record_tasks=True,
+            cancel=self.cancel,
+        )
+        computer.bind_resilience(self.config, report.failure)
+        self.computers.append(computer)
+        self.reports.append(report)
+        self.views.append(TileListView())
+        self.tile_of_pair.append([])
+        self.expected_tiles.append([])
+        return report
+
+    def step(
+        self,
+        h: int,
+        p: int,
+        *,
+        recorded: PlannedHop | None = None,
+        frees: Sequence[int] = (),
+    ) -> None:
+        """Run pair ``p`` of hop ``h``, then release the ``frees`` hops.
+
+        A tile that differs from the ``recorded`` hop's raises
+        :class:`~repro.errors.PlanMismatchError`; without one it is recorded.
+        """
+        computer, report = self.computers[h], self.reports[h]
+        pair = computer.plan.pairs[p]
+        outcome = computer.run_pair(pair)
+        _account(report, outcome.stats)
+        if computer.runner is None:
+            report.failure.attempts += 1
+        tile = outcome.tile
+        computer.note_completed(pair, tile)
+        identity = _tile_identity(tile) if tile is not None else None
+        if recorded is not None:
+            index = recorded.tile_of_pair[p]
+            expected = None if index is None else recorded.expected_tiles[index]
+            if identity != expected:
+                raise PlanMismatchError(
+                    f"hop {h} pair {p} produced {_describe_tile(identity)} where "
+                    f"the fused plan recorded {_describe_tile(expected)}; operand "
+                    "values changed the intermediate topology — re-plan the chain"
+                )
+        else:
+            expected = self.expected_tiles[h]
+            self.tile_of_pair[h].append(None if identity is None else len(expected))
+            if identity is not None:
+                expected.append(identity)
+        if tile is not None:
+            self.views[h].tiles.append(tile)
+            if h != self.root:
+                self.current_bytes += tile.memory_bytes()
+                self.peak_bytes = max(self.peak_bytes, self.current_bytes)
+        for dead in frees:
+            tiles = self.views[dead].tiles
+            self.current_bytes -= sum(t.memory_bytes() for t in tiles)
+            self.freed += len(tiles)
+            tiles.clear()
+            if self.obs is not None:
+                self.obs.metrics.counter("fused.intermediates_freed").inc()
+
+    def run_hop(
+        self, plan: ExecutionPlan, a_source: HopSource, b_source: HopSource
+    ) -> tuple[ATMatrix, MultiplyReport]:
+        """Cold: add a hop whose sources are complete and run all its pairs.
+
+        An intermediate has one consumer, whose last pair frees it.  The
+        output shares the hop's tile list, so tiles demoted to meet a
+        finite ``memory_limit_bytes`` are what consumers read and record.
+        """
+        report = self.add_hop(plan, a_source, b_source)
+        h = len(self.reports) - 1
+        consumed = [s.index for s in (a_source, b_source) if s.kind == "hop"]
+        last = len(plan.pairs) - 1
+        attrs = {"pairs": last + 1} if self.obs is not None else None
+        with _span(self.obs, "pair_loop", attrs=attrs):
+            for p in range(last + 1):
+                self.step(h, p, frees=consumed if p == last else ())
+        tiles = self.views[h].tiles
+        result = ATMatrix(plan.shape[0], plan.shape[1], self.config, tiles)
+        limit = plan.memory_limit_bytes
+        if limit is not None and not np.isinf(limit):
+            from ..core.atmult import enforce_memory_limit
+
+            before = result.memory_bytes()
+            start = time.perf_counter()
+            with _span(self.obs, "memory_limit_enforce"):
+                if enforce_memory_limit(result, limit):
+                    self.expected_tiles[h] = [_tile_identity(t) for t in tiles]
+                    if h != self.root:
+                        self.current_bytes += result.memory_bytes() - before
+            report.add_phase(PHASE_OPTIMIZE, time.perf_counter() - start)
+        return result, report
+
+    def outcome(self) -> FusedChainOutcome:
+        """The per-hop reports and lifetime accounting of this run."""
+        for computer, report in zip(self.computers, self.reports, strict=True):
+            report.conversions = computer.conversions.conversions
+        if self.obs is not None:
+            self.obs.metrics.gauge("fused.peak_intermediate_bytes").set(
+                self.peak_bytes
+            )
+        return FusedChainOutcome(
+            steps=self.reports,
+            intermediates_freed=self.freed,
+            peak_intermediate_bytes=self.peak_bytes,
+        )
+
+
+def _describe_tile(identity: tuple[int, int, int, int, str, str] | None) -> str:
+    if identity is None:
+        return "no tile"
+    return f"tile {identity[:5]} (fingerprint {identity[5][:12]})"
+
+
 def execute_fused_chain(
     fused: FusedChainPlan,
     leaves: Sequence[ATMatrix],
@@ -748,15 +924,17 @@ def execute_fused_chain(
     cost_model: CostModel,
     obs: Observation | None = None,
     check_fingerprints: bool = True,
+    cancel: CancelToken | None = None,
 ) -> tuple[ATMatrix, FusedChainOutcome]:
     """Replay a fused chain plan against matching leaf operands.
 
-    Walks the plan's interleaved ``(hop, pair)`` schedule: a pair whose
-    operand side is an earlier hop reads that hop's freshly produced
-    tiles through a :class:`TileListView`, so intermediates are consumed
-    while still resident instead of hop-by-hop behind barriers, and
-    ``fused.frees`` releases each intermediate the moment its last
-    consumer pair has run.
+    Walks the plan's interleaved ``(hop, pair)`` schedule through
+    :meth:`ChainRun.step`: a pair whose operand side is an earlier hop
+    reads that hop's freshly produced tiles, so intermediates are
+    consumed while still resident instead of hop-by-hop behind
+    barriers, and ``fused.frees`` releases each intermediate the moment
+    its last consumer pair has run.  ``cancel`` is polled before every
+    pair.
 
     Intermediate topology depends on operand *values* (cancellation,
     density quantization), not only on the leaf structures the chain is
@@ -782,28 +960,16 @@ def execute_fused_chain(
                     "against the new operands"
                 )
 
-    views = [TileListView() for _ in fused.hops]
-
-    def operand_of(source: HopSource) -> TileOperand:
-        if source.kind == "leaf":
-            return leaves[source.index]
-        return views[source.index]
-
-    computers: list[PairComputer | None] = [None] * len(fused.hops)
-    reports: list[MultiplyReport] = []
+    run = ChainRun(
+        leaves,
+        len(fused.hops),
+        config=config,
+        cost_model=cost_model,
+        obs=obs,
+        cancel=cancel,
+    )
     for hop in fused.hops:
-        reports.append(
-            MultiplyReport(
-                observation=obs,
-                write_threshold=hop.plan.write_threshold,
-                water_level=hop.plan.water_level,
-            )
-        )
-
-    root = len(fused.hops) - 1
-    current_bytes = 0
-    peak_bytes = 0
-    freed = 0
+        run.add_hop(hop.plan, hop.a_source, hop.b_source)
     attrs = (
         {"hops": len(fused.hops), "steps": len(fused.schedule)}
         if obs is not None
@@ -811,76 +977,9 @@ def execute_fused_chain(
     )
     with _span(obs, "fused_execute", attrs=attrs):
         for step, (h, p) in enumerate(fused.schedule):
-            hop = fused.hops[h]
-            computer = computers[h]
-            if computer is None:
-                computer = PairComputer(
-                    hop.plan,
-                    operand_of(hop.a_source),
-                    operand_of(hop.b_source),
-                    cost_model=cost_model,
-                    obs=obs,
-                    record_tasks=True,
-                )
-                computers[h] = computer
-            pair = hop.plan.pairs[p]
-            outcome = computer.run_pair(pair)
-            _account(reports[h], outcome.stats)
-
-            tile = outcome.tile
-            expected_index = hop.tile_of_pair[p]
-            if (tile is None) != (expected_index is None):
-                raise PlanMismatchError(
-                    f"hop {h} pair {p} produced "
-                    f"{'a tile' if tile is not None else 'no tile'} where the "
-                    "fused plan recorded the opposite; operand values changed "
-                    "the intermediate topology — re-plan the chain"
-                )
-            if tile is not None:
-                assert expected_index is not None
-                expected = hop.expected_tiles[expected_index]
-                produced = (
-                    tile.row0,
-                    tile.col0,
-                    tile.rows,
-                    tile.cols,
-                    tile.kind.value,
-                    payload_fingerprint(tile.data),
-                )
-                if produced != expected:
-                    raise PlanMismatchError(
-                        f"hop {h} pair {p} produced tile {produced[:5]} with "
-                        f"fingerprint {produced[5][:12]}, expected "
-                        f"{expected[:5]} / {expected[5][:12]}; operand values "
-                        "changed the intermediate topology — re-plan the chain"
-                    )
-                views[h].tiles.append(tile)
-                if h != root:
-                    current_bytes += tile.memory_bytes()
-                    peak_bytes = max(peak_bytes, current_bytes)
-            for dead in fused.frees[step]:
-                view = views[dead]
-                current_bytes -= sum(t.memory_bytes() for t in view.tiles)
-                freed += len(view.tiles)
-                view.tiles.clear()
-                if obs is not None:
-                    obs.metrics.counter("fused.intermediates_freed").inc()
-
-    for h, computer in enumerate(computers):
-        if computer is not None:
-            reports[h].conversions = computer.conversions.conversions
-    result = ATMatrix(fused.shape[0], fused.shape[1], config, views[root].tiles)
-    if obs is not None:
-        obs.metrics.gauge("fused.peak_intermediate_bytes").set(peak_bytes)
-    return result, FusedChainOutcome(
-        steps=reports,
-        intermediates_freed=freed,
-        peak_intermediate_bytes=peak_bytes,
-    )
-
-
-def _payload_kind(payload: TilePayload) -> StorageKind:
-    return StorageKind.SPARSE if isinstance(payload, CSRMatrix) else StorageKind.DENSE
+            run.step(h, p, recorded=fused.hops[h], frees=fused.frees[step])
+    result = ATMatrix(fused.shape[0], fused.shape[1], config, run.views[-1].tiles)
+    return result, run.outcome()
 
 
 def _seed_accumulator(

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..cost.model import CostModel
+from ..errors import ConfigError
 from ..observe import Observation
 from ..resilience.retry import RetryPolicy
 
@@ -145,3 +146,13 @@ def coerce_options(
         if value is not None
     }
     return base.replace(**explicit) if explicit else base
+
+
+def reject_checkpoint(options: MultiplyOptions, where: str) -> None:
+    """Refuse a checkpoint: a journal holds one product, ``where`` runs many."""
+    if options.checkpoint is not None:
+        raise ConfigError(
+            f"{where} does not take a checkpoint: a CheckpointStore journals "
+            "one product under one plan; checkpointing applies to "
+            "Session.multiply and `repro multiply --checkpoint-dir`"
+        )

@@ -419,7 +419,6 @@ class PlannedHop:
     a_source: HopSource
     b_source: HopSource
     plan: ExecutionPlan
-    out_fingerprint: str
     tile_of_pair: tuple[int | None, ...]
     expected_tiles: tuple[tuple[int, int, int, int, str, str], ...]
 
@@ -597,17 +596,11 @@ def build_chain_plan(
     object is replay — through ``options.plan_cache`` every later run of
     the same chain (and every solver iteration) is a single cache hit.
     """
-    from ..errors import ShapeError
     from .api import run_chain
-    from .options import coerce_options
+    from .options import coerce_options, reject_checkpoint
 
-    if len(operands) < 2:
-        raise ShapeError(
-            "a fused chain needs at least two operands, got "
-            f"{len(operands)}"
-        )
     opts = coerce_options(options, config=config, cost_model=cost_model)
+    reject_checkpoint(opts, "build_chain_plan")
     with observe_session.resolve(opts.observer) as obs:
         _result, _report, fused = run_chain(operands, options=opts, obs=obs)
-    assert fused is not None  # guaranteed for two or more operands
     return fused

@@ -34,7 +34,7 @@ from .core.atmatrix import ATMatrix
 from .core.atmult import MatrixOperand, as_at_matrix
 from .core.chain import multiply_chain
 from .cost.model import CostModel
-from .engine.options import MultiplyOptions
+from .engine.options import MultiplyOptions, reject_checkpoint
 from .errors import ShapeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,7 +89,8 @@ class MatrixExpr:
         plan cache attached (a session always has one), product chains
         route through the fused chain planner, so re-evaluating an
         expression over same-topology operands replays whole fused
-        chain plans.
+        chain plans.  A checkpoint store in the options raises
+        :class:`~repro.errors.ConfigError`: it journals a single product.
         """
         if session is not None:
             base = session.options
@@ -97,6 +98,7 @@ class MatrixExpr:
             base = options
         else:
             base = MultiplyOptions()
+        reject_checkpoint(base, "MatrixExpr.evaluate")
         normalized = self._pushdown(False)
         return normalized._execute(
             base.resolved_config(), base.resolved_cost_model(), base

@@ -627,7 +627,8 @@ class MatrixService:
         The cancel token threads through ``MultiplyOptions`` into
         ``execute_plan``, which polls it at tile-pair boundaries; a
         tripped token flushes the job's checkpoint before unwinding, so
-        the journal under ``ckpt/`` stays resumable.
+        the journal under ``ckpt/`` stays resumable.  Solve and matvec
+        jobs carry it too, on the shared session's plan cache.
         """
         cancel.check()
         spec = record.spec
@@ -649,8 +650,9 @@ class MatrixService:
             return result.to_dense()
         assert spec.rhs is not None
         rhs = np.asarray(spec.rhs, dtype=np.float64)
+        session = Session(options=self.session.options.replace(cancel=cancel))
         if spec.op == "matvec":
-            return self.session.matvec(matrix_a, rhs)
-        outcome = self.session.solve(matrix_a, rhs, **spec.params)
+            return session.matvec(matrix_a, rhs)
+        outcome = session.solve(matrix_a, rhs, **spec.params)
         outcome.raise_if_failed()
         return np.asarray(outcome.solution, dtype=np.float64)

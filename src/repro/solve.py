@@ -40,7 +40,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG
 from .core.atmv import atmv
 from .core.operands import MatrixOperand, as_at_matrix
-from .engine.options import MultiplyOptions
+from .engine.options import MultiplyOptions, reject_checkpoint
 from .errors import PlanMismatchError, ReproError, ShapeError
 from .formats.dense import DenseMatrix
 
@@ -102,7 +102,6 @@ class _PinnedMatvec:
         self._config = options.resolved_config()
         self._model = options.resolved_cost_model()
         self._pinned: FusedChainPlan | None = None
-        self.pinned_replays = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         from .engine.api import run_chain
@@ -121,16 +120,16 @@ class _PinnedMatvec:
                         config=self._config,
                         cost_model=self._model,
                         obs=obs,
+                        cancel=self._options.cancel,
                     )
                 except PlanMismatchError:
                     self._pinned = None
                 else:
-                    self.pinned_replays += 1
                     return result.to_dense().ravel()
             result, report, fused = run_chain(
                 [self._at, dense], options=self._options, obs=obs
             )
-            if report.plan_cache_hit and fused is not None:
+            if report.plan_cache_hit:
                 self._pinned = fused
         return result.to_dense().ravel()
 
@@ -146,23 +145,23 @@ def _matvec_driver(
     before any iteration runs (the regression tests count
     ``operand.wraps.*`` metric increments to pin this down).  Without a
     session/options the product is the plain :func:`atmv` tile loop.
-    With a plan cache (and no resilience/checkpoint/memory-limit
-    context) the loop gets a :class:`_PinnedMatvec`; otherwise each
-    product runs through plain :func:`~repro.core.atmult.atmult`.
+    When the options let chains be cached
+    (:func:`~repro.engine.api.chain_cache`) the loop gets a
+    :class:`_PinnedMatvec`; otherwise each product runs through plain
+    :func:`~repro.core.atmult.atmult`.  A checkpoint store raises
+    :class:`~repro.errors.ConfigError`: it journals a single product,
+    not a solve's many.
     """
     opts = session.options if session is not None else options
     if opts is None:
         at = as_at_matrix(matrix, DEFAULT_CONFIG)
         return at, lambda x: atmv(at, x)
 
+    reject_checkpoint(opts, "an iterative solver")
     at = as_at_matrix(matrix, opts.resolved_config())
-    pinnable = (
-        opts.plan_cache is not None
-        and opts.resilience is None
-        and opts.checkpoint is None
-        and opts.memory_limit_bytes is None
-    )
-    if pinnable:
+    from .engine.api import chain_cache
+
+    if chain_cache(opts) is not None:
         return at, _PinnedMatvec(at, opts)
     from .core.atmult import atmult
 

@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro import (
     COOMatrix,
     DenseMatrix,
+    FaultPlan,
     FusedChainPlan,
     MultiplyOptions,
+    PlanCache,
+    RetryPolicy,
     Session,
     SystemConfig,
+    atmult,
     build_at_matrix,
     build_chain_plan,
+    inject_faults,
     multiply_chain,
     plan_chain,
 )
 from repro.core.chain import ChainReport
+from repro.core.operands import operand_density_map
 from repro.engine.cache import ChainKey
 from repro.engine.executor import execute_fused_chain
 from repro.errors import PlanMismatchError, ShapeError
@@ -52,13 +60,13 @@ def dense_reference(operands) -> np.ndarray:
 
 
 class TestFusedParity:
-    """Fused execution must be bit-identical to per-hop multiply_chain."""
+    """Fused replays must be bit-identical to cache-less cold chain runs."""
 
     @pytest.mark.parametrize("dims", [[48, 32, 40], [64, 48, 80, 32, 40]])
     def test_all_sparse_chain_parity(self, rng, dims):
         operands = sparse_chain(rng, dims)
         baseline, baseline_report = multiply_chain(list(operands), options=OPTIONS)
-        assert not baseline_report.fused  # no cache: legacy per-hop loop
+        assert not baseline_report.fused  # no cache: a cold run
 
         session = Session(config=CONFIG)
         cold, cold_report = session.multiply_chain(list(operands))
@@ -96,6 +104,121 @@ class TestFusedParity:
             warm, warm_report = session.multiply_chain(list(operands))
             assert warm_report.plan_cache_hit
             assert np.array_equal(baseline.to_dense(), warm.to_dense())
+
+
+def per_hop_reference(operands, order, options):
+    """The chain as one ``atmult`` per hop of ``order``.
+
+    An independent baseline: it shares the planner and the kernels with
+    the chain path but none of the chain code, so fused and cold chain
+    runs are checked against something that is not themselves.
+    """
+    results = {(i, i): operand for i, operand in enumerate(operands)}
+    for i, k, j in order:
+        results[(i, j)], _ = atmult(
+            results[(i, k)], results[(k + 1, j)], options=options
+        )
+    return results[(0, len(operands) - 1)]
+
+
+def demotion_chain():
+    """``B @ I`` runs first and overshoots its estimate, so a 13.5 kB
+    memory limit demotes one of its dense tiles (the stripe outer
+    products are underestimated by density propagation)."""
+    rng = np.random.default_rng(0)
+    n = 48
+    a = np.zeros((n, n))
+    b = np.zeros((n, n))
+    for j in range(2):
+        a[:24, j] = np.where(rng.random(24) < 0.8, rng.random(24), 0.0)
+        b[j, :24] = np.where(rng.random(24) < 0.8, rng.random(24), 0.0)
+    for x in (a, b):
+        x[24:, 24:] = np.where(
+            rng.random((24, 24)) < 0.12, rng.random((24, 24)), 0.0
+        )
+    return [build(a), build(b), build(np.eye(n))]
+
+
+#: name -> (options, whether the chain may be cached and replayed)
+PARITY_OPTIONS = {
+    "plain": (OPTIONS, True),
+    "memory-limit": (OPTIONS.replace(memory_limit_bytes=13_500.0), False),
+    "retry": (OPTIONS.replace(resilience=RetryPolicy(max_attempts=6)), False),
+}
+
+
+class TestPerHopParity:
+    """Cold and warm chain runs are bit-identical to per-hop ``atmult``."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_OPTIONS))
+    def test_cold_and_warm_match_per_hop_atmult(self, name, rng, monkeypatch):
+        options, replays = PARITY_OPTIONS[name]
+        if name == "memory-limit":
+            operands = demotion_chain()
+        else:
+            operands = sparse_chain(rng, [64, 48, 80, 32, 40])
+        demotions: list[int] = []
+        atmult_module = importlib.import_module("repro.core.atmult")
+        enforce = atmult_module.enforce_memory_limit
+
+        def counting_enforce(result, limit):
+            demotions.append(enforce(result, limit))
+            return demotions[-1]
+
+        monkeypatch.setattr(atmult_module, "enforce_memory_limit", counting_enforce)
+        faults = FaultPlan(11, kernel_error_rate=0.05 if name == "retry" else 0.0)
+        cached = options.replace(plan_cache=PlanCache())
+        with inject_faults(faults):
+            cold, cold_report = multiply_chain(list(operands), options=cached)
+            chain_demotions = list(demotions)
+            warm, warm_report = multiply_chain(list(operands), options=cached)
+            reference = per_hop_reference(operands, cold_report.order, options)
+
+        assert not cold_report.plan_cache_hit
+        assert warm_report.plan_cache_hit is replays
+        assert warm_report.fused is replays
+        assert cold_report.order == warm_report.order
+        assert np.array_equal(reference.to_dense(), cold.to_dense())
+        assert np.array_equal(reference.to_dense(), warm.to_dense())
+        np.testing.assert_allclose(
+            cold.to_dense(), dense_reference(operands), atol=1e-10
+        )
+        if name == "memory-limit":
+            # The first hop's output is an intermediate, and it was demoted.
+            assert chain_demotions[0] > 0
+        if name == "retry":
+            assert faults.raising_count > 0
+            assert sum(step.failure.retries for step in cold_report.steps) > 0
+
+    def test_replay_divergence_falls_back_then_caches_again(self, rng):
+        operands = sparse_chain(rng, [64, 48, 80, 32, 40])
+        session = Session(config=CONFIG)
+        _, report = session.multiply_chain(list(operands))
+        i, k, j = report.order[0]
+        assert (i, j) == (k, k + 1)  # the first hop multiplies two leaves
+        # Same patterns, so the same ChainKey; but the left factor's top
+        # rows times the all-tiny right factor underflow to zero, so the
+        # first intermediate loses tiles the cached plan recorded.
+        left = operands[i].to_dense()
+        top = left[: left.shape[0] // 2]
+        top[top != 0] = 1e-170
+        right = operands[j].to_dense()
+        right[right != 0] = 1e-170
+        scaled = list(operands)
+        scaled[i], scaled[j] = build(left), build(right)
+
+        result, fallback = session.multiply_chain(list(scaled))
+        assert not fallback.plan_cache_hit
+        assert np.any(result.to_dense())
+        reference = per_hop_reference(scaled, fallback.order, OPTIONS)
+        assert np.array_equal(result.to_dense(), reference.to_dense())
+        np.testing.assert_allclose(
+            result.to_dense(), dense_reference(scaled), rtol=1e-9, atol=0.0
+        )
+
+        again, replay = session.multiply_chain(list(scaled))
+        assert replay.fused and replay.plan_cache_hit
+        assert np.array_equal(again.to_dense(), result.to_dense())
 
 
 class TestChainCache:
@@ -235,10 +358,16 @@ class TestPlanChainFixes:
 
     def test_structural_plan_matches_default_for_sparse(self, rng):
         operands = sparse_chain(rng, [64, 48, 80, 40])
-        default = plan_chain(list(operands), config=CONFIG)
-        structural = plan_chain(list(operands), config=CONFIG, structural=True)
-        # CSR patterns are fingerprinted exactly: both views agree.
-        assert default.order == structural.order
+        # plan_chain always scores the structural density view; CSR
+        # patterns are fingerprinted exactly, so for all-sparse operands
+        # it agrees with the value-level density maps.
+        for operand in operands:
+            structural = operand_density_map(operand, CONFIG, structural=True)
+            exact = operand_density_map(operand, CONFIG)
+            assert np.array_equal(structural.grid, exact.grid)
+        plan = plan_chain(list(operands), config=CONFIG)
+        _, report = multiply_chain(list(operands), options=OPTIONS)
+        assert plan.order == report.order
 
 
 class TestSolverPinning:

@@ -20,10 +20,14 @@ from repro import (
     DeadlineExceededError,
     MultiplyOptions,
     OperationCancelledError,
+    PlanCache,
+    Session,
     atmult,
     build_at_matrix,
+    multiply_chain,
     parallel_atmult,
 )
+from repro.solve import conjugate_gradient
 from repro.topology.system import SystemTopology
 
 from ..conftest import heterogeneous_array
@@ -199,3 +203,46 @@ class TestThreadBackendCancellation:
             ),
         )
         np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
+
+
+def spd_array(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A sparse, strictly diagonally dominant SPD matrix."""
+    mask = rng.random((n, n)) < 0.05
+    base = np.where(mask, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
+    spd = (base + base.T) / 2.0
+    np.fill_diagonal(spd, spd.sum(axis=1) + 1.0)
+    return spd
+
+
+class TestReplayCancellation:
+    """Fused chain replays and pinned solver iterations poll the token."""
+
+    def test_warm_chain_replay_honours_a_tripped_token(self, rng, small_config):
+        operands = [
+            build_at_matrix(
+                COOMatrix.from_dense(heterogeneous_array(rng, rows, cols)),
+                small_config,
+            )
+            for rows, cols in ((64, 48), (48, 80), (80, 40))
+        ]
+        cached_opts = MultiplyOptions(config=small_config, plan_cache=PlanCache())
+        multiply_chain(list(operands), options=cached_opts)
+        _, warm = multiply_chain(list(operands), options=cached_opts)
+        assert warm.plan_cache_hit  # the next call is a replay
+        token = CancelToken()
+        token.cancel("stop the replay")
+        with pytest.raises(OperationCancelledError):
+            multiply_chain(list(operands), options=cached_opts.replace(cancel=token))
+
+    def test_pinned_cg_honours_a_tripped_token(self, rng, small_config):
+        n = 64
+        matrix = build_at_matrix(COOMatrix.from_dense(spd_array(rng, n)), small_config)
+        rhs = rng.random(n)
+        session = Session(config=small_config)
+        assert session.conjugate_gradient(matrix, rhs).converged
+        token = CancelToken()
+        token.cancel("stop the solve")
+        with pytest.raises(OperationCancelledError):
+            conjugate_gradient(
+                matrix, rhs, options=session.options.replace(cancel=token)
+            )

@@ -14,11 +14,14 @@ from repro import (
     MultiplyOptions,
     PlanMismatchError,
     atmult,
+    M,
     build_at_matrix,
+    multiply_chain,
     parallel_atmult,
     plan,
 )
-from repro.errors import IntegrityError
+from repro.errors import ConfigError, IntegrityError
+from repro.solve import conjugate_gradient
 from repro.topology.system import SystemTopology
 
 from ..conftest import heterogeneous_array
@@ -216,3 +219,33 @@ class TestParallelCheckpoint:
         assert [(t.row0, t.col0) for t in resumed.tiles] == [
             (t.row0, t.col0) for t in sequential.tiles
         ]
+
+
+class TestCheckpointIsPerProduct:
+    """A journal holds one product under one plan: many-product calls refuse it."""
+
+    def test_chain_refuses_a_checkpoint(self, workload, small_config, tmp_path):
+        a, b, at_a, at_b = workload
+        at_c = build_at_matrix(COOMatrix.from_dense(b.T.copy()), small_config)
+        options = MultiplyOptions(
+            config=small_config, checkpoint=CheckpointStore(tmp_path, resume=True)
+        )
+        with pytest.raises(ConfigError, match="Session.multiply"):
+            multiply_chain([at_a, at_b, at_c], options=options)
+        with pytest.raises(ConfigError, match="--checkpoint-dir"):
+            (M(at_a) @ M(at_b) @ M(at_c)).evaluate(options=options)
+        assert not (tmp_path / "MANIFEST.json").exists()
+
+    def test_solver_refuses_a_checkpoint(self, rng, small_config, tmp_path):
+        n = 64
+        mask = rng.random((n, n)) < 0.05
+        base = np.where(mask, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
+        spd = (base + base.T) / 2.0
+        np.fill_diagonal(spd, spd.sum(axis=1) + 1.0)
+        matrix = build_at_matrix(COOMatrix.from_dense(spd), small_config)
+        options = MultiplyOptions(
+            config=small_config, checkpoint=CheckpointStore(tmp_path, resume=True)
+        )
+        with pytest.raises(ConfigError, match="Session.multiply"):
+            conjugate_gradient(matrix, rng.random(n), options=options)
+        assert not (tmp_path / "MANIFEST.json").exists()

@@ -14,7 +14,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro import COOMatrix, SystemConfig
+from repro import COOMatrix, FaultPlan, SystemConfig, inject_faults
 from repro.errors import FormatError
 from repro.service import JobState, MatrixRegistry, MatrixService
 
@@ -218,3 +218,35 @@ class TestIdempotentSubmission:
 
         first, second = run(scenario())
         assert second == first
+
+
+class TestSolveJobDeadline:
+    def test_solve_job_past_its_deadline_lands_deadline_exceeded(
+        self, small_config, rng, tmp_path
+    ):
+        """Solve jobs carry the job's token into every pinned matvec."""
+        n = 64
+        mask = rng.random((n, n)) < 0.05
+        base = np.where(mask, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
+        spd = (base + base.T) / 2.0
+        np.fill_diagonal(spd, spd.sum(axis=1) + 1.0)
+        registry = MatrixRegistry(config=small_config)
+        registry.register("S", COOMatrix.from_dense(spd))
+
+        async def scenario():
+            async with MatrixService(
+                registry, job_dir=tmp_path / "jobs"
+            ) as service:
+                job_id = await service.submit(
+                    tenant="t", op="solve", a="S", rhs=np.ones(n),
+                    params={"tolerance": 1e-12}, deadline_seconds=0.3,
+                )
+                return await service.wait(job_id, timeout=120.0)
+
+        # Every tile-pair and kernel stalls, in the executor thread too,
+        # so the solve outlives its budget.
+        with inject_faults(FaultPlan(5, stall_rate=1.0, stall_seconds=0.01)):
+            status = run(scenario())
+        assert status.state is JobState.DEADLINE_EXCEEDED, status.error
+        assert status.error_type == "DeadlineExceededError"
+        assert "operation deadline expired" in (status.error or "")
