@@ -18,8 +18,9 @@ the paper's best case for parallel tile products:
 Results land in ``BENCH_shard.json``.  The ``--min-speedup`` gate
 (default 1.5 at 4 workers) is **host-aware**: process scaling is
 physically impossible on fewer cores than workers, so on such hosts the
-gate records ``"skipped (host has N cores, need 4)"`` and exits 0 —
-CI runs the real gate on multicore runners.
+gate records ``"skipped (host has N cores, need 4)"`` with ``"passed":
+null`` (no evidence either way) and exits 0 — CI runs the real gate on
+multicore runners.
 
 Usage::
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from pathlib import Path
 
@@ -47,6 +47,7 @@ from repro import (
     SystemTopology,
     build_at_matrix,
 )
+from repro.bench import host_record
 from repro.core.parallel import parallel_atmult
 from repro.resilience import FaultPlan, inject_faults
 
@@ -112,7 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     size = SMOKE_SIZE if args.smoke else FULL_SIZE
     config = SMOKE_CONFIG if args.smoke else FULL_CONFIG
     at = build_operand(size, config)
-    host_cores = os.cpu_count() or 1
+    host = host_record()
+    host_cores = host["cpu_cores"]
     max_workers = max(WORKER_COUNTS)
 
     # Warm-up (imports, allocator, fork machinery).
@@ -147,13 +149,12 @@ def main(argv: list[str] | None = None) -> int:
     assert kill_report.failure.worker_deaths >= 1
     kill_overhead = kill_elapsed / seconds["2"]
 
-    gate_applies = host_cores >= max_workers
-    if gate_applies:
+    passed: bool | None = None
+    if host_cores >= max_workers:
         gate_status = "applied"
         passed = speedups[str(max_workers)] >= args.min_speedup
     else:
         gate_status = f"skipped (host has {host_cores} cores, need {max_workers})"
-        passed = True
 
     report_payload = {
         "workload": {
@@ -167,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
             "llc_bytes": config.llc_bytes,
             "b_atomic": config.b_atomic,
         },
-        "host": {"cpu_cores": host_cores},
+        "host": host,
         "seconds": seconds,
         "speedups": speedups,
         "kill_one_worker": {
@@ -196,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{kill_report.failure.pairs_reassigned} pairs reassigned)"
     )
     print(f"gate ({args.min_speedup:.2f}x at {max_workers} workers): {gate_status}")
-    if not passed:
+    if passed is False:
         print(
             f"FAIL: {max_workers}-worker speedup "
             f"{speedups[str(max_workers)]:.2f}x < {args.min_speedup:.2f}x"

@@ -8,9 +8,16 @@ comparable results including the output's paper-model memory footprint.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import platform
 import time
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping
+from pathlib import Path
+from typing import Any
+
+import numpy as np
 
 
 @dataclass
@@ -25,6 +32,22 @@ class AlgorithmResult:
     def relative_to(self, baseline_seconds: float) -> float:
         """Speed relative to a baseline (>1 means faster than baseline)."""
         return baseline_seconds / self.seconds if self.seconds else float("inf")
+
+
+def host_record() -> dict[str, Any]:
+    """The facts a ``BENCH_*.json`` reader needs: cores, CPU, versions."""
+    model = platform.processor()
+    with contextlib.suppress(OSError):
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    return {
+        "cpu_cores": os.cpu_count() or 1,
+        "cpu_model": model,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def time_call(fn: Callable[[], object]) -> tuple[float, object]:

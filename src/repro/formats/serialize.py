@@ -47,10 +47,6 @@ FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = frozenset({1, 2})
 
 
-def _array_crc(array: np.ndarray) -> int:
-    return crc32c(np.ascontiguousarray(array).tobytes())
-
-
 def save_at_matrix(matrix: ATMatrix, target: str | Path | BinaryIO) -> None:
     """Serialize an AT Matrix (tiles + config) to an ``.npz`` archive.
 
@@ -96,7 +92,7 @@ def save_at_matrix(matrix: ATMatrix, target: str | Path | BinaryIO) -> None:
             arrays[f"indptr_{i}"] = tile.data.indptr
             arrays[f"indices_{i}"] = tile.data.indices
             arrays[f"values_{i}"] = tile.data.values
-    checksums = {name: _array_crc(array) for name, array in arrays.items()}
+    checksums = {name: crc32c(array) for name, array in arrays.items()}
     arrays["checksums"] = np.array(json.dumps(checksums))
     if isinstance(target, (str, Path)):
         path = Path(target)
@@ -158,7 +154,7 @@ def load_at_matrix(source: str | Path | BinaryIO) -> ATMatrix:
         mismatched = sorted(
             name
             for name, expected in checksums.items()
-            if name not in arrays or _array_crc(arrays[name]) != expected
+            if name not in arrays or crc32c(arrays[name]) != expected
         )
         if mismatched:
             raise IntegrityError(

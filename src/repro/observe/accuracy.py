@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -70,11 +71,14 @@ class KernelAccuracy:
 
 
 class CostAccuracyTracker:
-    """Thread-safe accumulator of :class:`CostSample` records."""
+    """Thread-safe accumulator of :class:`CostSample` records.
 
-    def __init__(self) -> None:
+    With ``retain`` set, only the newest ``retain`` samples are kept.
+    """
+
+    def __init__(self, retain: int | None = None) -> None:
         self._lock = threading.Lock()
-        self._samples: list[CostSample] = []
+        self._samples: deque[CostSample] = deque(maxlen=retain)
 
     def record(
         self, kernel: str, predicted_seconds: float, measured_seconds: float

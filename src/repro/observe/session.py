@@ -38,12 +38,17 @@ from .trace import NULL_SPAN, Tracer, _NullSpan, _SpanContext
 
 
 class Observation:
-    """One run's worth of spans, metrics and cost-accuracy samples."""
+    """One run's worth of spans, metrics and cost-accuracy samples.
 
-    def __init__(self) -> None:
-        self.tracer = Tracer()
+    ``retain`` bounds the spans and the cost samples kept (newest win),
+    for observations that live as long as a server; metrics are
+    aggregates and stay complete.
+    """
+
+    def __init__(self, retain: int | None = None) -> None:
+        self.tracer = Tracer(retain)
         self.metrics = MetricsRegistry()
-        self.cost_accuracy = CostAccuracyTracker()
+        self.cost_accuracy = CostAccuracyTracker(retain)
 
     def as_dict(self) -> dict[str, Any]:
         """Full serializable snapshot (the JSON exporter's payload)."""

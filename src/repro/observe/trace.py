@@ -14,8 +14,9 @@ Design constraints, in order:
    :data:`NULL_SPAN` / :func:`repro.observe.maybe_span` when no
    observation is active; the disabled path is one global read, one
    ``None`` check and a shared, allocation-free context manager.
-2. **Thread safety.**  Finished spans land in a lock-guarded list; the
-   open-span stack is ``threading.local``.
+2. **Thread safety.**  Finished spans land in a lock-guarded deque; the
+   open-span stack is ``threading.local``.  A long-lived recorder (the
+   job server's) passes ``retain`` to keep only the newest spans.
 3. **Self-contained.**  No imports from the rest of ``repro`` so every
    layer (kernels, resilience, core) can instrument without cycles.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 from typing import Any
@@ -122,14 +124,15 @@ class Tracer:
 
     All timestamps are relative to the tracer's construction instant
     (``epoch_seconds`` holds the corresponding ``time.time()`` for
-    absolute anchoring in exports).
+    absolute anchoring in exports).  With ``retain`` set, only the
+    newest ``retain`` finished spans are kept.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, retain: int | None = None) -> None:
         self.epoch_seconds = time.time()
         self._origin = time.perf_counter()
         self._lock = threading.Lock()
-        self._spans: list[Span] = []
+        self._spans: deque[Span] = deque(maxlen=retain)
         self._next_id = 0
         self._stack = threading.local()
 

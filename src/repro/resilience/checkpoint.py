@@ -81,7 +81,7 @@ def _payload_crc(arrays: dict[str, np.ndarray]) -> int:
     """Chained CRC-32C over the payload arrays in stable name order."""
     crc = 0
     for name in sorted(arrays):
-        crc = crc32c(np.ascontiguousarray(arrays[name]).tobytes(), crc)
+        crc = crc32c(arrays[name], crc)
     return crc
 
 

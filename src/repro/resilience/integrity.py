@@ -35,7 +35,6 @@ raising wrapper used by loaders.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -329,7 +328,7 @@ def _verify_archive_checksums(
                 )
             )
             continue
-        actual = crc32c(arrays[name].tobytes())
+        actual = crc32c(arrays[name])
         if actual != expected:
             out.append(
                 IntegrityViolation(

@@ -317,7 +317,7 @@ class ServiceClient:
         values = np.asarray(payload["values"], dtype=np.float64).reshape(
             payload["shape"]
         )
-        actual = crc32c(np.ascontiguousarray(values).tobytes())
+        actual = crc32c(values)
         stored = int(payload["crc32c"])
         if actual != stored:
             raise IntegrityError(

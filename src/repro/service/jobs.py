@@ -237,7 +237,7 @@ class JobStore:
     def save_result(self, job_id: str, values: np.ndarray) -> int:
         """Persist the job's dense result; returns its CRC-32C digest."""
         array = np.ascontiguousarray(values, dtype=np.float64)
-        digest = crc32c(array.tobytes())
+        digest = crc32c(array)
         buffer = io.BytesIO()
         np.savez(buffer, values=array, crc=np.array([digest], dtype=np.uint32))
         with atomic_write(self._result_path(job_id), mode="wb") as handle:
@@ -252,7 +252,7 @@ class JobStore:
         with np.load(path) as archive:
             values = np.asarray(archive["values"], dtype=np.float64)
             stored = int(archive["crc"][0])
-        actual = crc32c(np.ascontiguousarray(values).tobytes())
+        actual = crc32c(values)
         if actual != stored:
             raise IntegrityError(
                 f"result of job {job_id!r} failed its CRC-32C check "

@@ -96,27 +96,40 @@ async def _read_frame(reader: asyncio.StreamReader) -> bytes | None:
         ) from None
 
 
+def _frame(response: dict[str, Any]) -> bytes:
+    return json.dumps(response).encode() + b"\n"
+
+
 def _result_payload(values: np.ndarray) -> dict[str, Any]:
     array = np.ascontiguousarray(values, dtype=np.float64)
     return {
         "shape": list(array.shape),
-        "values": [float(x) for x in array.ravel()],
-        "crc32c": crc32c(array.tobytes()),
+        "values": array.ravel().tolist(),
+        "crc32c": crc32c(array),
     }
 
 
-async def _dispatch(service: MatrixService, request: dict[str, Any]) -> dict[str, Any]:
+def _result_frame(values: np.ndarray) -> bytes:
+    return _frame({"ok": True, "result": _result_payload(values)})
+
+
+async def _dispatch(service: MatrixService, request: dict[str, Any]) -> bytes:
+    """Answer one request with its encoded response line.
+
+    A result's float list and its JSON are built on the default
+    executor, so other connections are served while it encodes.
+    """
     op = request.get("op")
     if op == "ping":
-        return {"ok": True, "pong": True}
+        return _frame({"ok": True, "pong": True})
     if op == "health":
-        return {"ok": True, "health": service.health()}
+        return _frame({"ok": True, "health": service.health()})
     if op == "ready":
-        return {"ok": True, "ready": service.ready()}
+        return _frame({"ok": True, "ready": service.ready()})
     if op == "matrices":
-        return {"ok": True, "matrices": service.registry.names()}
+        return _frame({"ok": True, "matrices": service.registry.names()})
     if op == "metrics":
-        return {"ok": True, "metrics": service.metrics()}
+        return _frame({"ok": True, "metrics": service.metrics()})
     if op == "submit":
         job = request.get("job")
         if not isinstance(job, dict):
@@ -140,17 +153,18 @@ async def _dispatch(service: MatrixService, request: dict[str, Any]) -> dict[str
                 else None
             ),
         )
-        return {"ok": True, "job_id": job_id}
+        return _frame({"ok": True, "job_id": job_id})
     if op in ("status", "result", "cancel"):
         job_id = str(request.get("job_id", ""))
         if op == "status":
             status = await service.status(job_id)
-            return {"ok": True, "status": status.to_json_dict()}
+            return _frame({"ok": True, "status": status.to_json_dict()})
         if op == "result":
             values = await service.result(job_id)
-            return {"ok": True, "result": _result_payload(values)}
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(None, _result_frame, values)
         cancelled = await service.cancel(job_id)
-        return {"ok": True, "cancelled": cancelled}
+        return _frame({"ok": True, "cancelled": cancelled})
     raise FormatError(f"unknown request op {op!r}")
 
 
@@ -164,7 +178,7 @@ async def _handle_connection(
             try:
                 line = await _read_frame(reader)
             except FrameTooLargeError as error:
-                writer.write(json.dumps(_error_payload(error)).encode() + b"\n")
+                writer.write(_frame(_error_payload(error)))
                 await writer.drain()
                 continue
             if not line:
@@ -173,15 +187,14 @@ async def _handle_connection(
                 request = json.loads(line)
                 if not isinstance(request, dict):
                     raise FormatError("requests must be JSON objects")
-                response = await _dispatch(service, request)
+                frame = await _dispatch(service, request)
             except ReproError as error:
-                response = _error_payload(error)
+                frame = _frame(_error_payload(error))
             except (ValueError, TypeError, KeyError) as error:
-                response = {
-                    "ok": False,
-                    "error": {"type": "BadRequest", "message": str(error)},
-                }
-            writer.write(json.dumps(response).encode() + b"\n")
+                frame = _frame(
+                    {"ok": False, "error": {"type": "BadRequest", "message": str(error)}}
+                )
+            writer.write(frame)
             await writer.drain()
     finally:
         writer.close()

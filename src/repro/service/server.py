@@ -71,6 +71,10 @@ from .registry import MatrixRegistry
 #: How long a worker sleeps between footprint-acquisition retries.
 _ACQUIRE_POLL_SECONDS = 0.02
 
+#: Spans and cost samples the server's own observation keeps; older ones
+#: are dropped, so a long-running server's memory stays bounded.
+OBSERVATION_RETAIN = 4096
+
 
 @dataclass(frozen=True)
 class JobStatus:
@@ -119,7 +123,9 @@ class MatrixService:
     config, options, observer:
         Forwarded to the underlying :class:`Session`; the observer
         (created automatically when omitted) receives every span and
-        metric the engine and the service emit.
+        metric the engine and the service emit.  The automatic one keeps
+        only the newest :data:`OBSERVATION_RETAIN` spans and cost
+        samples, so a long-running server's memory stays bounded.
     """
 
     def __init__(
@@ -139,7 +145,9 @@ class MatrixService:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.registry = registry
         self.store = JobStore(job_dir)
-        self.observer = observer if observer is not None else Observation()
+        self.observer = (
+            observer if observer is not None else Observation(OBSERVATION_RETAIN)
+        )
         self.session = Session(
             config=config or registry.config,
             options=options,

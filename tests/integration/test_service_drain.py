@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import COOMatrix, MultiplyOptions, SystemConfig
+from repro import COOMatrix, MultiplyOptions
 from repro.formats import write_matrix_market
 from repro.service import JobState, JobStore, MatrixRegistry, MatrixService
 from repro.service.client import ServiceClient

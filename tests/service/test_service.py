@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from repro import (
     UnknownMatrixError,
 )
 from repro.ioutil import crc32c
+from repro.observe import Observation
 from repro.service import JobState, MatrixRegistry, MatrixService, serve
+from repro.service import protocol as protocol_module
+from repro.service import server as server_module
 from repro.service.protocol import STREAM_LIMIT_BYTES
 
 from ..conftest import random_sparse_array
@@ -357,3 +361,71 @@ class TestProtocol:
         bad, unknown = run(scenario())
         assert not bad["ok"] and bad["error"]["type"] == "BadRequest"
         assert not unknown["ok"] and unknown["error"]["type"] == "FormatError"
+
+    def test_result_encoded_off_the_event_loop(self, registry, tmp_path, monkeypatch):
+        """The result's float list and JSON are built on an executor thread."""
+        threads = []
+        build = protocol_module._result_payload
+
+        def recording(values):
+            threads.append(threading.get_ident())
+            return build(values)
+
+        monkeypatch.setattr(protocol_module, "_result_payload", recording)
+
+        async def scenario():
+            service = MatrixService(registry, job_dir=tmp_path / "jobs")
+            server = await serve(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                job_id = await service.submit(tenant="t", op="multiply", a="A", b="B")
+                await service.wait(job_id, timeout=120.0)
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port, limit=STREAM_LIMIT_BYTES
+                )
+                writer.write(json.dumps({"op": "result", "job_id": job_id}).encode() + b"\n")
+                await writer.drain()
+                response = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                await service.stop()
+                return response, threading.get_ident()
+
+        response, loop_thread = run(scenario())
+        assert response["ok"], response
+        values = np.array(response["result"]["values"]).reshape(response["result"]["shape"])
+        assert crc32c(values) == response["result"]["crc32c"]
+        assert len(threads) == 1
+        assert threads[0] != loop_thread
+
+
+class TestObservationRetention:
+    JOBS = 6
+
+    async def run_jobs(self, service):
+        async with service:
+            for index in range(self.JOBS):
+                op = "multiply" if index % 2 else "matvec"
+                extra = {"b": "B"} if op == "multiply" else {"rhs": np.ones(96)}
+                job_id = await service.submit(tenant="t", op=op, a="A", **extra)
+                status = await service.wait(job_id, timeout=120.0)
+                assert status.state is JobState.DONE, status.error
+        return service.observer
+
+    def test_server_observation_keeps_a_bounded_window(
+        self, registry, tmp_path, monkeypatch
+    ):
+        """Spans and cost samples stop at the cap; the job counter does not."""
+        monkeypatch.setattr(server_module, "OBSERVATION_RETAIN", 8)
+        observer = run(self.run_jobs(MatrixService(registry, job_dir=tmp_path / "jobs")))
+        assert len(observer.tracer) == 8
+        assert len(observer.cost_accuracy) == 8
+        assert observer.metrics.value("service.jobs_completed") == self.JOBS
+
+    def test_caller_observer_keeps_everything(self, registry, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "OBSERVATION_RETAIN", 8)
+        mine = Observation()
+        service = MatrixService(registry, job_dir=tmp_path / "jobs", observer=mine)
+        assert run(self.run_jobs(service)) is mine
+        assert len(mine.tracer) > 8
+        assert len(mine.cost_accuracy) > 8
