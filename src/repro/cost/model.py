@@ -122,6 +122,8 @@ class CostModel:
 
         if a_kind is StorageKind.SPARSE and b_kind is StorageKind.SPARSE:
             flops = volume * rho_a * rho_b
+            # Conservative for a dense target, whose kernel scatters without
+            # sorting; kept so that the optimizer's plans stay as they were.
             compute = c.sparse_expand * flops + c.sparse_sort * _nlogn(flops)
             produced = min(flops, float(m) * n)  # triples after compression
         elif a_kind is StorageKind.SPARSE:  # sparse x dense

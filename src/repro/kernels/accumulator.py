@@ -23,10 +23,17 @@ from ..errors import ShapeError
 from ..formats.csr import CSRMatrix
 from ..formats.dense import DenseMatrix
 from ..kinds import StorageKind
+from .products import scatter_add
 
 
 class DenseAccumulator:
-    """Accumulates tile products into a dense array."""
+    """Accumulates tile products into a dense array.
+
+    :attr:`writes` counts block cells for dense products and scattered
+    triples otherwise.  A sparse x sparse product scatters its partial
+    products uncompressed, so it counts one write per partial product,
+    not one per merged output coordinate.
+    """
 
     kind = StorageKind.DENSE
 
@@ -50,18 +57,11 @@ class DenseAccumulator:
     ) -> None:
         """Scatter-add coordinate triples at offset ``(row0, col0)``.
 
-        Large scatters go through ``bincount`` (a dense histogram pass,
-        ~2x faster than ``np.add.at``); small ones scatter directly to
-        avoid allocating an accumulator of the full tile area.
+        Duplicate coordinates are summed (see
+        :func:`~repro.kernels.products.scatter_add`), so callers may pass
+        an uncompressed expansion.
         """
-        area = self.rows * self.cols
-        if len(values) * 8 >= area:
-            flat = (rows + row0) * np.int64(self.cols) + (cols + col0)
-            self.array.ravel()[:] += np.bincount(
-                flat, weights=values, minlength=area
-            )
-        else:
-            np.add.at(self.array, (rows + row0, cols + col0), values)
+        scatter_add(self.array, row0, col0, rows, cols, values)
         self.writes += len(values)
 
     def finalize(self) -> DenseMatrix:

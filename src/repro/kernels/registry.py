@@ -56,9 +56,14 @@ def _kernel_sp_sp(
     a: Operand, wa: Window, b: Operand, wb: Window,
     out: Accumulator, row0: int, col0: int,
 ) -> None:
-    # Both accumulator flavors take the compressed expansion as triples;
-    # the write-cost asymmetry materializes in the accumulator itself.
-    out.add_triples(row0, col0, *products.spsp_triples(a, wa, b, wb))
+    # A dense target sums duplicates as it scatters, so the expansion goes
+    # in unsorted; a sparse target buffers runs, so each product is
+    # compressed first to bound them.
+    if isinstance(out, DenseAccumulator):
+        for chunk in products.spsp_expansion(a, wa, b, wb):
+            out.add_triples(row0, col0, *chunk)
+    else:
+        out.add_triples(row0, col0, *products.spsp_triples(a, wa, b, wb))
 
 
 def _kernel_sp_d(

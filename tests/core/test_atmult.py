@@ -54,6 +54,19 @@ class TestCorrectness:
         second, _ = atmult(at_a, at_b, c=first, config=small_config)
         np.testing.assert_allclose(second.to_dense(), 2 * (a @ b), atol=1e-9)
 
+    def test_c_seeds_scattered_dense_targets(self, rng, small_config):
+        # sp x sp products into dense targets count one accumulator write
+        # per partial product; a C-seeded region must still be kept where
+        # no product lands (rows 32:48 of A are empty).
+        a = random_sparse_array(rng, 64, 64, 0.1)
+        a[32:48] = 0.0
+        c = rng.uniform(0.1, 1.0, size=(64, 64))
+        at_a = build_at_matrix(COOMatrix.from_dense(a), small_config)
+        at_c = build_at_matrix(COOMatrix.from_dense(c), small_config)
+        result, report = atmult(at_a, at_a, c=at_c, config=small_config)
+        assert report.kernel_counts.get("spspd_gemm", 0) > 0
+        np.testing.assert_allclose(result.to_dense(), c + a @ a, atol=1e-10)
+
     def test_c_shape_checked(self, workload, small_config):
         _, _, at_a, at_b = workload
         with pytest.raises(ShapeError):

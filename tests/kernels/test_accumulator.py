@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.kernels import DenseAccumulator, SparseAccumulator, make_accumulator
+from repro.kernels import (
+    DenseAccumulator,
+    SparseAccumulator,
+    Window,
+    make_accumulator,
+    products,
+    run_tile_product,
+)
 from repro.kinds import StorageKind
+
+from ..conftest import as_csr, random_sparse_array
 
 
 class TestDenseAccumulator:
@@ -25,6 +34,15 @@ class TestDenseAccumulator:
         acc = DenseAccumulator(3, 3)
         acc.add_dense(0, 0, np.ones((2, 2)))
         assert acc.writes == 4
+
+    def test_sparse_product_writes_count_partial_products(self, rng):
+        # sp x sp scatters its expansion uncompressed into a dense target.
+        a = as_csr(random_sparse_array(rng, 20, 20, 0.3))
+        window = Window.full((20, 20))
+        acc = DenseAccumulator(20, 20)
+        run_tile_product(a, window, a, window, acc)
+        flops = products.spsp_flops(a, window, a, window)
+        assert acc.writes == flops > np.count_nonzero(acc.array)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ShapeError):

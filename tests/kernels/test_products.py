@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ShapeError
-from repro.kernels import Window
-from repro.kernels import products
+from repro.kernels import Window, make_accumulator, products, run_tile_product
+from repro.kinds import StorageKind
 
 from ..conftest import as_csr, as_dense, random_sparse_array
 
@@ -170,3 +170,80 @@ class TestCompressTriples:
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), 3
         )
         assert len(v) == 0
+
+
+def dense_kernel_product(a, wa, b, wb, shape, row0, col0):
+    """The sp x sp kernel run into a fresh dense accumulator."""
+    out = make_accumulator(StorageKind.DENSE, *shape)
+    run_tile_product(as_csr(a), wa, as_csr(b), wb, out, row0, col0)
+    return out.finalize().to_dense()
+
+
+def triples_product(a, wa, b, wb, shape, row0, col0):
+    """The compressed-triples path placed at the same offset."""
+    out = np.zeros(shape)
+    rows, cols, vals = products.spsp_triples(as_csr(a), wa, as_csr(b), wb)
+    out[rows + row0, cols + col0] = vals
+    return out
+
+
+class TestDenseScatter:
+    """Sparse x sparse into a dense target scatters without sorting."""
+
+    def test_kernel_never_compresses(self, rng, monkeypatch):
+        a = random_sparse_array(rng, 30, 30, 0.3)
+        expected = a @ a
+
+        def no_sort(*args):
+            raise AssertionError("dense target must not sort the expansion")
+
+        monkeypatch.setattr(products, "compress_triples", no_sort)
+        got = dense_kernel_product(a, Window.full(a.shape), a, Window.full(a.shape),
+                                   (30, 30), 0, 0)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        block = products.spsp_dense(
+            as_csr(a), Window.full(a.shape), as_csr(a), Window.full(a.shape)
+        )
+        np.testing.assert_allclose(block, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [3, 17, 1 << 16])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_triples_path(self, seed, chunk, monkeypatch):
+        # Small chunks split the expansion of one output row across chunks.
+        monkeypatch.setattr(products, "EXPANSION_CHUNK", chunk)
+        rng = np.random.default_rng(seed)
+        m, k, n = (int(x) for x in rng.integers(8, 30, 3))
+        a = random_sparse_array(rng, m, k, 0.35)
+        b = random_sparse_array(rng, k, n, 0.35)
+        r0, r1 = sorted(int(x) for x in rng.integers(0, m + 1, 2))
+        k0, k1 = sorted(int(x) for x in rng.integers(0, k + 1, 2))
+        c0, c1 = sorted(int(x) for x in rng.integers(0, n + 1, 2))
+        if r0 == r1 or k0 == k1 or c0 == c1:
+            return
+        wa, wb = Window(r0, r1, k0, k1), Window(k0, k1, c0, c1)
+        shape = (r1 - r0 + 5, c1 - c0 + 3)
+        row0, col0 = int(rng.integers(0, 6)), int(rng.integers(0, 4))
+        got = dense_kernel_product(a, wa, b, wb, shape, row0, col0)
+        want = triples_product(a, wa, b, wb, shape, row0, col0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            products.spsp_dense(as_csr(a), wa, as_csr(b), wb),
+            want[row0 : row0 + r1 - r0, col0 : col0 + c1 - c0],
+            rtol=1e-12, atol=0,
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 2, 1 << 16])
+    def test_duplicates_summed_and_cancelling_to_zero(self, chunk, monkeypatch):
+        monkeypatch.setattr(products, "EXPANSION_CHUNK", chunk)
+        # C[0,0] = 1*2 + 1*(-2) cancels exactly; C[0,1] and C[1,1] merge
+        # two partial products each.
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 3.0, 4.0]])
+        b = np.array([[2.0, 1.0], [-2.0, 1.0], [0.0, 0.5]])
+        wa, wb = Window.full(a.shape), Window.full(b.shape)
+        assert products.spsp_flops(as_csr(a), wa, as_csr(b), wb) > np.count_nonzero(a @ b)
+        got = dense_kernel_product(a, wa, b, wb, (4, 4), 1, 2)
+        assert got[1, 2] == 0.0
+        np.testing.assert_array_equal(got[1:3, 2:4], a @ b)
+        rows, cols, vals = products.spsp_triples(as_csr(a), wa, as_csr(b), wb)
+        assert (0, 0) not in set(zip(rows.tolist(), cols.tolist(), strict=True))
+        np.testing.assert_array_equal(got, triples_product(a, wa, b, wb, (4, 4), 1, 2))
