@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fused-chain benchmark: repeated chain products and pinned solver matvecs.
+"""Fused-chain benchmark: repeated chain products.
 
 The chain redesign taught the engine to cache a whole
 :class:`~repro.engine.plan.FusedChainPlan` under one
@@ -7,22 +7,17 @@ The chain redesign taught the engine to cache a whole
 the recorded cross-hop schedule (dead intermediates freed eagerly)
 instead of re-running dynamic-programming parenthesization, density
 estimation and per-hop plan construction on every call.  This bench
-quantifies that on two workloads:
-
-* a **repeated 4-matrix chain** — cache-less ``multiply_chain`` (a
-  cold chain run: parenthesization and every hop's plan rebuilt on every
-  run, hops run in order) versus warm
-  :meth:`repro.Session.multiply_chain` replays of one fused plan, and
-* a **conjugate-gradient solve** through a Session, which must pin one
-  fused matvec plan after a single cache hit and replay it for every
-  remaining iteration (``hits == 1 < iterations``).
+quantifies that on a **repeated 4-matrix chain**: cache-less
+``multiply_chain`` (a cold chain run: parenthesization and every hop's
+plan rebuilt on every run, hops run in order) versus warm
+:meth:`repro.Session.multiply_chain` replays of one fused plan.
 
 Both paths run their pairs through the same chain step and identical
 kernels; the difference is planning overhead plus the hop-by-hop order
 of the cold run. Results land in
 ``BENCH_chain.json`` and the process exits non-zero when the fused path
-is not at least ``--min-speedup`` times faster or the solver fails to
-pin its plan — CI runs this as a regression gate.
+is not at least ``--min-speedup`` times faster — CI runs this as a
+regression gate.
 
 Usage::
 
@@ -52,7 +47,7 @@ from repro import (
     build_at_matrix,
     multiply_chain,
 )
-from repro.generate import rmat_matrix
+from repro.bench import host_record
 
 #: ``len(CHAIN_DIMS) - 1 == 4`` operands, deliberately rectangular so the
 #: dynamic-programming parenthesization is non-trivial on every re-plan.
@@ -63,8 +58,6 @@ CHAIN_DIMS = (1024, 512, 1280, 384, 768)
 CHAIN_DENSITY = 0.002
 #: Chain executions per timed sample; the unfused path re-plans each one.
 CHAIN_RUNS = 10
-SOLVER_N = 1024
-SOLVER_ITERATIONS = 20
 #: Small atomic blocks make the per-product decision count (and so the
 #: planning share of each hop) representative of big-matrix runs.
 CONFIG = SystemConfig(llc_bytes=384 * 1024, b_atomic=32)
@@ -86,17 +79,6 @@ def build_chain() -> tuple[list, int]:
     return operands, nnz
 
 
-def build_solver_system() -> tuple[object, np.ndarray, int]:
-    """A strictly diagonally dominant SPD system from an RMAT graph."""
-    graph = rmat_matrix(SOLVER_N, 8 * SOLVER_N, 0.45, 0.22, 0.22, 0.11, seed=11)
-    raw = graph.to_dense()
-    symmetric = (raw + raw.T) / 2.0
-    np.fill_diagonal(symmetric, np.abs(symmetric).sum(axis=1) + 1.0)
-    matrix = build_at_matrix(COOMatrix.from_dense(symmetric), CONFIG)
-    rhs = np.ones(SOLVER_N)
-    return matrix, rhs, int(np.count_nonzero(symmetric))
-
-
 def run_unfused(operands) -> float:
     """CHAIN_RUNS cache-less chain products: cold runs, re-planned every time."""
     options = MultiplyOptions(config=CONFIG)
@@ -114,19 +96,6 @@ def run_fused(operands, session: Session) -> float:
         _, report = session.multiply_chain(list(operands))
         assert report.fused and report.plan_cache_hit
     return time.perf_counter() - start
-
-
-def run_pinned_solve(matrix, rhs) -> tuple[dict, int]:
-    """One fixed-iteration CG solve through a fresh Session."""
-    session = Session(config=CONFIG)
-    outcome = session.conjugate_gradient(
-        matrix, rhs, tolerance=0.0, max_iterations=SOLVER_ITERATIONS
-    )
-    assert outcome.iterations == SOLVER_ITERATIONS
-    stats = session.cache_stats()
-    report = stats.as_dict()
-    report["hit_rate"] = stats.hit_rate
-    return report, outcome.iterations
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -164,27 +133,14 @@ def main(argv: list[str] | None = None) -> int:
     best_fused = min(fused_times)
     speedup = best_unfused / best_fused
 
-    matrix, rhs, solver_nnz = build_solver_system()
-    solver_stats, iterations = run_pinned_solve(matrix, rhs)
-    # One chain-key hit pins the fused matvec plan; iterations 3..N then
-    # replay it without touching the cache at all.
-    pinned = (
-        solver_stats.get("hits", 0) == 1
-        and solver_stats.get("hits", 0) < iterations
-        and solver_stats.get("hit_rate", 0.0) > 0
-    )
-
-    passed = speedup >= args.min_speedup and pinned
+    passed = speedup >= args.min_speedup
     report = {
+        "host": host_record(),
         "workload": {
             "chain_dims": list(CHAIN_DIMS),
             "chain_density": CHAIN_DENSITY,
             "chain_nnz": chain_nnz,
             "chain_runs_per_sample": CHAIN_RUNS,
-            "solver": "conjugate_gradient",
-            "solver_n": SOLVER_N,
-            "solver_nnz": solver_nnz,
-            "solver_iterations": iterations,
         },
         "config": {
             "llc_bytes": CONFIG.llc_bytes,
@@ -199,8 +155,6 @@ def main(argv: list[str] | None = None) -> int:
         "speedup": speedup,
         "min_speedup": args.min_speedup,
         "chain_cache": session.cache_stats().as_dict(),
-        "solver_cache": solver_stats,
-        "solver_pinned": pinned,
         "passed": passed,
     }
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True))
@@ -212,24 +166,12 @@ def main(argv: list[str] | None = None) -> int:
         f"fused {best_fused * 1e3:.1f} ms, speedup {speedup:.2f}x "
         f"(gate: {args.min_speedup:.2f}x) -> {args.output}"
     )
-    print(
-        f"solver cache: {solver_stats.get('hits', 0)} hits, "
-        f"{solver_stats.get('misses', 0)} misses over {iterations} "
-        f"iterations (pinned: {pinned})"
-    )
     if not passed:
-        if speedup < args.min_speedup:
-            print(
-                f"FAIL: fused path is only {speedup:.2f}x faster "
-                f"(required {args.min_speedup:.2f}x)",
-                file=sys.stderr,
-            )
-        if not pinned:
-            print(
-                "FAIL: solver did not pin one fused matvec plan "
-                f"(stats: {solver_stats})",
-                file=sys.stderr,
-            )
+        print(
+            f"FAIL: fused path is only {speedup:.2f}x faster "
+            f"(required {args.min_speedup:.2f}x)",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

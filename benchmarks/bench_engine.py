@@ -1,21 +1,23 @@
 #!/usr/bin/env python
-"""Plan-cache benchmark: iterative solves with and without plan reuse.
+"""Plan-cache benchmark: repeated products with and without plan reuse.
 
 The engine redesign split ATMULT into ``build_plan`` / ``execute_plan``
-so iterative workloads can pay for density estimation, the water-level
-threshold and the per-product kernel decisions **once** and replay the
-cached :class:`~repro.engine.plan.ExecutionPlan` on every following
-product.  This bench quantifies that: a 20-iteration conjugate-gradient
-solve over a 2048 x 2048 RMAT-derived SPD system, run
+so repeated products of one topology can pay for density estimation,
+the water-level threshold and the per-product kernel decisions **once**
+and replay the cached :class:`~repro.engine.plan.ExecutionPlan` on every
+following call.  This bench isolates that effect: 20 repeated
+``A x X`` products of a 2048 x 2048 RMAT-derived SPD matrix with a dense
+2048 x 1 operand, run
 
-* through a :class:`repro.Session` (plan cached after iteration 1), and
-* through plain ``options=`` with **no** plan cache (every matvec
-  re-plans from scratch — the pre-redesign cost profile).
+* through :meth:`repro.Session.multiply` (plan cached after call 1), and
+* through cache-less ``atmult(..., options=MultiplyOptions(...))``
+  (every call re-plans from scratch — the pre-redesign cost profile).
 
 Both paths execute the identical kernels; the difference is planning
-overhead only.  Results land in ``BENCH_engine.json`` and the process
-exits non-zero when the planned path is not at least ``--min-speedup``
-(default 1.5) times faster — CI runs this as a regression gate.
+overhead only.  Results land in ``BENCH_engine.json`` (with a host
+record) and the process exits non-zero when the planned path is not at
+least ``--min-speedup`` (default 1.5) times faster — CI runs this as a
+regression gate.
 
 Usage::
 
@@ -38,12 +40,14 @@ import numpy as np
 
 from repro import (
     COOMatrix,
+    DenseMatrix,
     MultiplyOptions,
     Session,
     SystemConfig,
+    atmult,
     build_at_matrix,
-    conjugate_gradient,
 )
+from repro.bench import host_record
 from repro.generate import rmat_matrix
 
 N = 2048
@@ -51,43 +55,38 @@ NNZ_TARGET = 8 * N
 RMAT_PROBS = (0.45, 0.22, 0.22, 0.11)
 ITERATIONS = 20
 #: Small atomic blocks make the per-product decision count (and so the
-#: planning share of each matvec) representative of big-matrix runs.
+#: planning share of each product) representative of big-matrix runs.
 CONFIG = SystemConfig(llc_bytes=384 * 1024, b_atomic=32)
 
 
-def build_system() -> tuple[object, np.ndarray, int]:
-    """A strictly diagonally dominant SPD system from an RMAT graph."""
+def build_system() -> tuple[object, DenseMatrix, int]:
+    """A strictly diagonally dominant SPD matrix from an RMAT graph."""
     graph = rmat_matrix(N, NNZ_TARGET, *RMAT_PROBS, seed=7)
     raw = graph.to_dense()
     symmetric = (raw + raw.T) / 2.0
     np.fill_diagonal(symmetric, np.abs(symmetric).sum(axis=1) + 1.0)
     matrix = build_at_matrix(COOMatrix.from_dense(symmetric), CONFIG)
-    rhs = np.ones(N)
-    return matrix, rhs, int(np.count_nonzero(symmetric))
+    operand = DenseMatrix(np.ones((N, 1)))
+    return matrix, operand, int(np.count_nonzero(symmetric))
 
 
-def run_planned(matrix, rhs) -> tuple[float, dict]:
-    """One 20-iteration CG solve through a fresh Session (plan cached)."""
+def run_planned(matrix, operand) -> tuple[float, dict]:
+    """ITERATIONS products through a fresh Session (plan cached)."""
     session = Session(config=CONFIG)
     start = time.perf_counter()
-    outcome = session.conjugate_gradient(
-        matrix, rhs, tolerance=0.0, max_iterations=ITERATIONS
-    )
+    for _ in range(ITERATIONS):
+        session.multiply(matrix, operand)
     elapsed = time.perf_counter() - start
-    assert outcome.iterations == ITERATIONS
     return elapsed, session.cache_stats().as_dict()
 
 
-def run_replanning(matrix, rhs) -> float:
-    """The same solve through the engine with no plan cache."""
+def run_replanning(matrix, operand) -> float:
+    """The same products through cache-less ``atmult``."""
     options = MultiplyOptions(config=CONFIG)
     start = time.perf_counter()
-    outcome = conjugate_gradient(
-        matrix, rhs, tolerance=0.0, max_iterations=ITERATIONS, options=options
-    )
-    elapsed = time.perf_counter() - start
-    assert outcome.iterations == ITERATIONS
-    return elapsed
+    for _ in range(ITERATIONS):
+        atmult(matrix, operand, options=options)
+    return time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,16 +111,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    matrix, rhs, nnz = build_system()
+    host = host_record()
+    matrix, operand, nnz = build_system()
     # Warm both paths once (imports, allocator, branch caches).
-    run_replanning(matrix, rhs)
-    run_planned(matrix, rhs)
+    run_replanning(matrix, operand)
+    run_planned(matrix, operand)
 
-    replanning_times = [run_replanning(matrix, rhs) for _ in range(args.repeats)]
+    replanning_times = [run_replanning(matrix, operand) for _ in range(args.repeats)]
     planned_times = []
     cache_stats: dict = {}
     for _ in range(args.repeats):
-        elapsed, cache_stats = run_planned(matrix, rhs)
+        elapsed, cache_stats = run_planned(matrix, operand)
         planned_times.append(elapsed)
 
     best_replanning = min(replanning_times)
@@ -129,14 +129,15 @@ def main(argv: list[str] | None = None) -> int:
     speedup = best_replanning / best_planned
 
     report = {
+        "host": host,
         "workload": {
             "matrix": f"RMAT({N}x{N}, a={RMAT_PROBS[0]}, b={RMAT_PROBS[1]}, "
             f"c={RMAT_PROBS[2]}, d={RMAT_PROBS[3]}), symmetrized + "
             "diagonally dominant",
             "n": N,
             "nnz": nnz,
-            "solver": "conjugate_gradient",
-            "iterations": ITERATIONS,
+            "operand": f"dense {N}x1",
+            "products": ITERATIONS,
         },
         "config": {
             "llc_bytes": CONFIG.llc_bytes,
@@ -156,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True))
 
     print(
-        f"20-iteration CG on {N}x{N} RMAT (nnz={nnz}): "
+        f"{ITERATIONS} products of {N}x{N} RMAT (nnz={nnz}) x dense {N}x1: "
         f"re-planning {best_replanning * 1e3:.1f} ms, "
         f"planned {best_planned * 1e3:.1f} ms, speedup {speedup:.2f}x "
         f"(gate: {args.min_speedup:.2f}x) -> {args.output}"

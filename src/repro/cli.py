@@ -336,25 +336,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         rhs = np.ones(matrix.rows)
     solver = conjugate_gradient if args.method == "cg" else jacobi
-    session = None
-    if args.planned:
-        from .engine import Session
-
-        session = Session(config=config)
     result = solver(
-        matrix,
-        rhs,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
-        session=session,
+        matrix, rhs, tolerance=args.tolerance, max_iterations=args.max_iterations
     )
     status = "converged" if result.converged else "NOT converged"
     print(f"{args.method}: {status} after {result.iterations} iterations "
           f"(residual {result.residual_norm:.3e})")
-    if session is not None:
-        stats = session.cache_stats()
-        print(f"plan cache: {stats['hits']} hits, {stats['misses']} misses, "
-              f"{stats['entries']} plans ({stats['bytes'] / 1e3:.1f} kB)")
     if args.output:
         solution = _vector_as_coo(result.solution)
         write_matrix_market(solution, args.output, comment="repro solve solution")
@@ -546,11 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=["cg", "jacobi"], default="cg")
     solve.add_argument("--tolerance", type=float, default=1e-10)
     solve.add_argument("--max-iterations", type=int, default=2000)
-    solve.add_argument("--planned", action="store_true",
-                       help="drive matrix-vector products through the "
-                            "plan-and-execute engine: iteration 1 builds an "
-                            "ExecutionPlan, iterations 2..N replay it from "
-                            "the session's plan cache")
     solve.add_argument("-o", "--output", help="write the solution (.mtx)")
     _add_config_arguments(solve)
     solve.set_defaults(handler=cmd_solve)

@@ -20,16 +20,23 @@ import numpy as np
 from ..errors import ShapeError
 from ..formats.csr import CSRMatrix
 from ..kernels.spmv import csr_spmv, dense_spmv
+from ..resilience.faults import fire_hooks
 from .atmatrix import ATMatrix
 
 
 def atmv(matrix: ATMatrix, vector: np.ndarray) -> np.ndarray:
-    """``y = A @ x`` over the adaptive tiles."""
+    """``y = A @ x`` over the adaptive tiles.
+
+    Every tile product is a ``"kernel"`` fault-injection site, like the
+    tile products of ATMULT, so matrix-vector jobs and solves stay a
+    stall/fault target.
+    """
     vector = np.asarray(vector, dtype=np.float64).ravel()
     if len(vector) != matrix.cols:
         raise ShapeError(f"vector length {len(vector)} != cols {matrix.cols}")
     out = np.zeros(matrix.rows, dtype=np.float64)
     for tile in matrix.tiles:
+        fire_hooks("kernel", (tile.row0, tile.col0))
         segment = vector[tile.col0 : tile.col1]
         if isinstance(tile.data, CSRMatrix):
             out[tile.row0 : tile.row1] += csr_spmv(tile.data, segment)

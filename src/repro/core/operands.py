@@ -6,6 +6,10 @@ view the engine plans against.  They live in their own module (rather
 than :mod:`repro.core.atmult`) so :mod:`repro.engine` can import them
 without a circular dependency on the operator front-ends.
 
+:func:`as_at_matrix` is the one coercion point: every front door
+(``Session``, ``atmult``, chains, the solvers) wraps through it, and it
+rejects any other operand type with a typed error.
+
 Observability: every wrap of a plain operand bumps the
 ``operand.wraps.sparse`` / ``operand.wraps.dense`` counters of the active
 session — the solver-hoisting regression tests count these to prove the
@@ -19,6 +23,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..density.estimate import coarsen
 from ..density.map import DensityMap
+from ..errors import ConfigError
 from ..formats.csr import CSRMatrix
 from ..formats.dense import DenseMatrix
 from ..kinds import StorageKind
@@ -33,11 +38,23 @@ def as_at_matrix(operand: MatrixOperand, config: SystemConfig) -> ATMatrix:
     """View a plain operand as a single-tile AT Matrix (zero partitioning).
 
     This is how ATMULT supports "plain matrix structures such as dense
-    arrays or sparse CSR matrices" as independent operand types.
+    arrays or sparse CSR matrices" as independent operand types.  Any
+    other type raises :class:`~repro.errors.ConfigError`; staged
+    :class:`~repro.formats.coo.COOMatrix` input is partitioned with
+    :func:`~repro.core.builder.build_at_matrix` first.
     """
     if isinstance(operand, ATMatrix):
         return operand
-    kind = StorageKind.SPARSE if isinstance(operand, CSRMatrix) else StorageKind.DENSE
+    if isinstance(operand, CSRMatrix):
+        kind = StorageKind.SPARSE
+    elif isinstance(operand, DenseMatrix):
+        kind = StorageKind.DENSE
+    else:
+        raise ConfigError(
+            f"unsupported matrix operand {type(operand).__name__}; expected "
+            "ATMatrix | CSRMatrix | DenseMatrix (partition a COOMatrix with "
+            "build_at_matrix)"
+        )
     observe_session.counter(f"operand.wraps.{kind.value}").inc()
     tile = Tile(0, 0, operand.rows, operand.cols, kind, operand)
     return ATMatrix(operand.rows, operand.cols, config, [tile])

@@ -1,6 +1,6 @@
 """Keyed plan cache: skip re-planning for same-topology multiplies.
 
-Iterative workloads (solvers, chained expressions, power iteration)
+Iterative workloads (repeated products, chained expressions)
 multiply the *same* matrix topology over and over with different values.
 Planning — density estimation, the water-level sweep, thousands of
 kernel decisions — depends only on topology and configuration, so its

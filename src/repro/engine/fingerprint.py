@@ -15,8 +15,8 @@ identical.  This module defines what "identical topology" means:
   block stores every cell, so there is no pattern to digest, but the
   planner's cost decisions consume the density, and whatever enters a
   plan must enter its key.  The quantization matches the decision
-  memo's buckets (finer than any cost crossover): an iterative solver's
-  fully-populated vectors all key to the same plan across iterations,
+  memo's buckets (finer than any cost crossover): repeated products
+  against fully-populated dense operands all key to the same plan,
   while a degenerate operand (say, an all-zero start vector) gets its
   own — correctly all-sparse — plan instead of poisoning the shared one;
 * an :class:`~repro.core.atmatrix.ATMatrix` digests its dimensions,

@@ -439,8 +439,8 @@ class FusedChainPlan:
 
     Cached in a :class:`~repro.engine.cache.PlanCache` under a
     :class:`~repro.engine.cache.ChainKey` (every leaf fingerprint plus
-    the setup key), so repeated chain runs — and every iteration of a
-    solver loop — replay the whole chain from one cache hit.
+    the setup key), so repeated chain runs replay the whole chain from
+    one cache hit.
     """
 
     operand_fingerprints: tuple[str, ...]
@@ -594,7 +594,7 @@ def build_chain_plan(
     the *materialized* topology of its intermediate operands, this runs
     the chain's kernels once (a cold run); the point of the returned
     object is replay — through ``options.plan_cache`` every later run of
-    the same chain (and every solver iteration) is a single cache hit.
+    the same chain is a single cache hit.
     """
     from .api import run_chain
     from .options import coerce_options, reject_checkpoint

@@ -11,11 +11,11 @@ everything:
 >>> from repro import Session
 >>> session = Session()
 >>> # result, report = session.multiply(a, b)
->>> # outcome = session.solve(a, rhs, method="cg")  # plans A once
+>>> # outcome = session.solve(a, rhs, method="cg")
 
-Solvers driven through a session multiply via the engine, so iterations
-2..N of a solve replay the cached plan instead of re-estimating and
-re-optimizing (see docs/API.md).
+Matrix-vector products and the solvers run through the
+:func:`~repro.core.atmv.atmv` tile loop: a vector operand has no
+representation choice, so there is no plan to cache (see docs/API.md).
 
 A session is also a context manager: ``with Session(...) as s:`` closes
 it on exit, which exports the session's observation to the paths given
@@ -33,10 +33,10 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..config import SystemConfig
+from ..core.atmv import atmv
 from ..core.operands import MatrixOperand, as_at_matrix
 from ..cost.model import CostModel
 from ..errors import ConfigError
-from ..formats.dense import DenseMatrix
 from ..observe import Observation, write_chrome_trace, write_json
 from .api import plan as plan_api
 from .cache import CacheStats, PlanCache
@@ -217,15 +217,13 @@ class Session:
         return expr.evaluate(session=self)
 
     def matvec(self, matrix: MatrixOperand, vector: np.ndarray) -> np.ndarray:
-        """``A @ x`` through the engine, so repeated products reuse one plan.
+        """``A @ x`` through the :func:`~repro.core.atmv.atmv` tile loop.
 
-        The vector rides as a dense ``n x 1`` operand; dense topology is
-        shape-only, so every same-length vector hits the same plan.
+        A vector operand has no representation choice, so nothing is
+        planned; the session only supplies the configuration a plain
+        operand is wrapped with.
         """
-        at = as_at_matrix(matrix, self.config)
-        column = np.asarray(vector, dtype=np.float64).reshape(-1, 1)
-        result, _ = self.multiply(at, DenseMatrix(column, copy=False))
-        return result.to_dense().ravel()
+        return atmv(as_at_matrix(matrix, self.config), vector)
 
     # -- solvers -----------------------------------------------------------
     #: ``method=`` spellings accepted by :meth:`solve`.
@@ -245,8 +243,10 @@ class Session:
         ``"conjugate_gradient"`` is accepted as a long spelling),
         ``"jacobi"`` or ``"richardson"``.  Extra keywords go to the
         underlying solver (``tolerance``, ``max_iterations``,
-        ``omega``, ...); every iteration multiplies through this
-        session, so the matrix is planned once and replayed.
+        ``omega``, ...).  The matrix is wrapped once under this
+        session's configuration, every iteration multiplies through
+        :func:`~repro.core.atmv.atmv`, and the session's cancel token is
+        polled once per iteration.
         """
         from ..solve import conjugate_gradient, jacobi, richardson
 

@@ -39,7 +39,9 @@ as under threads.
 Hook points live in :func:`repro.kernels.registry.run_tile_product`
 (sites ``"kernel"`` pre-kernel and the post-kernel corruption hook) and
 in the pair loops of :mod:`repro.core.atmult` /
-:mod:`repro.core.parallel` (site ``"pair"``).  The hooks are no-ops —
+:mod:`repro.core.parallel` (site ``"pair"``) and at the top of every
+solver iteration in :mod:`repro.solve` (site ``"iteration"``, extra =
+the iteration number).  The hooks are no-ops —
 one global ``None`` check — unless a plan is activated with
 :func:`inject_faults`.
 """

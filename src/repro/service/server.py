@@ -635,8 +635,10 @@ class MatrixService:
         The cancel token threads through ``MultiplyOptions`` into
         ``execute_plan``, which polls it at tile-pair boundaries; a
         tripped token flushes the job's checkpoint before unwinding, so
-        the journal under ``ckpt/`` stays resumable.  Solve and matvec
-        jobs carry it too, on the shared session's plan cache.
+        the journal under ``ckpt/`` stays resumable.  Matvec and solve
+        jobs run through :func:`~repro.core.atmv.atmv` under the shared
+        session's configuration; a solve polls the token once per
+        iteration.
         """
         cancel.check()
         spec = record.spec

@@ -1,4 +1,4 @@
-"""Fused chain plans: parity, caching, scheduling and solver pinning."""
+"""Fused chain plans: parity, caching and scheduling."""
 
 from __future__ import annotations
 
@@ -368,32 +368,3 @@ class TestPlanChainFixes:
         plan = plan_chain(list(operands), config=CONFIG)
         _, report = multiply_chain(list(operands), options=OPTIONS)
         assert plan.order == report.order
-
-
-class TestSolverPinning:
-    def test_cg_reuses_one_pinned_fused_plan(self, rng):
-        n = 64
-        mask = rng.random((n, n)) < 0.05
-        base = np.where(mask, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
-        spd = (base + base.T) / 2.0
-        np.fill_diagonal(spd, spd.sum(axis=1) + 1.0)
-        matrix = build(spd)
-        rhs = rng.random(n)
-
-        session = Session(config=CONFIG)
-        outcome = session.conjugate_gradient(matrix, rhs, tolerance=1e-10)
-        assert outcome.converged and outcome.iterations >= 3
-        stats = session.cache_stats()
-        assert stats.hit_rate > 0
-        assert stats.hits == 1  # the pin: probes stop after one hit
-        assert stats.hits < outcome.iterations
-
-        from repro.solve import conjugate_gradient
-
-        unpinned = conjugate_gradient(
-            matrix,
-            rhs,
-            tolerance=1e-10,
-            options=MultiplyOptions(config=CONFIG),
-        )
-        assert np.array_equal(outcome.solution, unpinned.solution)

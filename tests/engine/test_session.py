@@ -16,6 +16,8 @@ from repro import (
     richardson,
 )
 
+from repro.errors import ConfigError
+
 from ..conftest import as_csr
 
 
@@ -57,51 +59,40 @@ class TestSessionBasics:
         np.testing.assert_allclose(product, array @ x, atol=1e-10)
 
 
-class TestSolverPlanReuse:
-    def test_cg_pins_one_fused_matvec_plan(self, rng, config):
-        array = spd_system(rng, 64)
-        matrix = build_at_matrix(COOMatrix.from_dense(array), config)
-        rhs = rng.random(64)
+class TestFrontDoorOperands:
+    """Unsupported operand types fail with a typed error at the front door."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "solve_coo",
+            "matvec_coo",
+            "multiply_coo",
+            "chain_coo",
+            "solve_ndarray",
+            "matvec_ndarray",
+        ],
+    )
+    def test_rejects_unsupported_operands(self, rng, config, call):
+        array = spd_system(rng, 32)
+        coo = COOMatrix.from_dense(array)
         session = Session(config=config)
-        outcome = session.conjugate_gradient(matrix, rhs, tolerance=1e-8)
-        assert outcome.converged
-        assert outcome.iterations >= 2
-        stats = session.cache_stats()
-        # Iteration 1 records the fused matvec plan (one chain miss plus
-        # one per-hop plan miss); iteration 2's single hit pins it, and
-        # iterations 3..N replay the pinned plan without probing the
-        # cache at all — far fewer lookups than iterations.
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
-        assert stats.hit_rate > 0
-        assert stats["hits"] < outcome.iterations
+        vector = rng.random(32)
+        calls = {
+            "solve_coo": lambda: session.solve(coo, vector),
+            "matvec_coo": lambda: session.matvec(coo, vector),
+            "multiply_coo": lambda: session.multiply(coo, coo),
+            "chain_coo": lambda: session.multiply_chain([coo, coo]),
+            "solve_ndarray": lambda: session.solve(array, vector),
+            "matvec_ndarray": lambda: session.matvec(array, vector),
+        }
+        with pytest.raises(
+            ConfigError, match=r"ATMatrix \| CSRMatrix \| DenseMatrix"
+        ):
+            calls[call]()
 
-    def test_cg_estimates_and_optimizes_exactly_once(self, rng, config):
-        array = spd_system(rng, 64)
-        matrix = build_at_matrix(COOMatrix.from_dense(array), config)
-        rhs = rng.random(64)
-        # how many optimize spans does ONE plan build of the matvec emit?
-        with observe() as baseline_obs:
-            Session(config=config).matvec(matrix, rhs)
-        baseline = [
-            span.name for span in baseline_obs.tracer.spans()
-        ].count("optimize")
-        assert baseline >= 1
 
-        with observe() as obs:
-            outcome = conjugate_gradient(
-                matrix, rhs, tolerance=1e-8, session=Session(config=config)
-            )
-        assert outcome.converged and outcome.iterations >= 2
-        names = [span.name for span in obs.tracer.spans()]
-        # planning ran once, for the first matvec; iterations 2..N
-        # replayed the cached plan without re-estimating/re-optimizing
-        assert names.count("estimate") == 1
-        assert names.count("water_level") == 1
-        assert names.count("optimize") == baseline
-        # ...but every iteration still executed its pair loop
-        assert names.count("pair") >= outcome.iterations
-
+class TestSolverPlanReuse:
     def test_cg_without_session_still_converges(self, rng, config):
         array = spd_system(rng, 64)
         matrix = build_at_matrix(COOMatrix.from_dense(array), config)
@@ -114,12 +105,10 @@ class TestSolverPlanReuse:
         matrix = build_at_matrix(COOMatrix.from_dense(array), config)
         rhs = rng.random(64)
         plain = conjugate_gradient(matrix, rhs, tolerance=1e-10)
-        planned = conjugate_gradient(
+        via_session = conjugate_gradient(
             matrix, rhs, tolerance=1e-10, session=Session(config=config)
         )
-        np.testing.assert_allclose(
-            plain.solution, planned.solution, atol=1e-8
-        )
+        assert np.array_equal(plain.solution, via_session.solution)
 
     def test_jacobi_and_richardson_accept_sessions(self, rng, config):
         array = spd_system(rng, 48)

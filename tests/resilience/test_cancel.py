@@ -27,7 +27,7 @@ from repro import (
     multiply_chain,
     parallel_atmult,
 )
-from repro.solve import conjugate_gradient
+from repro.solve import conjugate_gradient, jacobi, richardson
 from repro.topology.system import SystemTopology
 
 from ..conftest import heterogeneous_array
@@ -215,7 +215,7 @@ def spd_array(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 class TestReplayCancellation:
-    """Fused chain replays and pinned solver iterations poll the token."""
+    """Fused chain replays and solver iterations poll the token."""
 
     def test_warm_chain_replay_honours_a_tripped_token(self, rng, small_config):
         operands = [
@@ -245,4 +245,25 @@ class TestReplayCancellation:
         with pytest.raises(OperationCancelledError):
             conjugate_gradient(
                 matrix, rhs, options=session.options.replace(cancel=token)
+            )
+
+
+class TestSolverDeadlines:
+    """Every solver polls the token once per iteration."""
+
+    @pytest.mark.parametrize("solver", [conjugate_gradient, jacobi, richardson])
+    def test_deadline_expiring_mid_solve_raises(self, rng, small_config, solver):
+        # Unbounded budget: without the per-iteration poll, CG runs ~270
+        # iterations to an exact zero residual and the fixed points run
+        # a million; the 10 ms deadline lapses long before either ends.
+        n = 128
+        matrix = build_at_matrix(COOMatrix.from_dense(spd_array(rng, n)), small_config)
+        token = CancelToken(deadline_seconds=0.01)
+        with pytest.raises(DeadlineExceededError):
+            solver(
+                matrix,
+                rng.random(n),
+                tolerance=0.0,
+                max_iterations=1_000_000,
+                options=MultiplyOptions(config=small_config, cancel=token),
             )
