@@ -5,7 +5,6 @@ from .atmatrix import ATMatrix
 from .partition import QuadtreePartitioner, TileSpec
 from .builder import ATMatrixBuilder, BuildReport, build_at_matrix
 from .fixed import fixed_grid_at_matrix
-from .optimizer import DynamicOptimizer, OptimizerStats
 from .report import BaseReport, MultiplyReport, ParallelReport
 from .atmult import atmult, enforce_memory_limit
 from .chain import ChainPlan, ChainReport, multiply_chain, plan_chain
@@ -25,8 +24,6 @@ __all__ = [
     "BuildReport",
     "build_at_matrix",
     "fixed_grid_at_matrix",
-    "DynamicOptimizer",
-    "OptimizerStats",
     "MultiplyReport",
     "atmult",
     "enforce_memory_limit",

@@ -52,7 +52,7 @@ from ..errors import ShapeError
 from ..formats.dense import DenseMatrix
 from ..observe import session as observe_session
 from .atmatrix import ATMatrix
-from .operands import MatrixOperand, as_at_matrix, operand_density_map
+from .operands import MatrixOperand, as_at_matrix, check_operands, operand_density_map
 from .report import BaseReport, MultiplyReport
 
 # Pre-engine call sites imported these from here; their home is now
@@ -108,6 +108,7 @@ def atmult(
     opts = coerce_options(
         options, config=config, cost_model=cost_model, plan_cache=plan_cache
     )
+    check_operands(a, b, c)
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     if c is not None and c.shape != (a.rows, b.cols):

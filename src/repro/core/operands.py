@@ -8,7 +8,8 @@ without a circular dependency on the operator front-ends.
 
 :func:`as_at_matrix` is the one coercion point: every front door
 (``Session``, ``atmult``, chains, the solvers) wraps through it, and it
-rejects any other operand type with a typed error.
+rejects any other operand type with a typed error.  Front doors that
+check shapes before wrapping call :func:`check_operands` first.
 
 Observability: every wrap of a plain operand bumps the
 ``operand.wraps.sparse`` / ``operand.wraps.dense`` counters of the active
@@ -34,27 +35,39 @@ from .tile import Tile
 MatrixOperand = ATMatrix | CSRMatrix | DenseMatrix
 
 
+def check_operands(*operands: object) -> None:
+    """Raise :class:`~repro.errors.ConfigError` for an unsupported operand.
+
+    Front doors call this before reading any shape, so an ``ndarray`` or
+    a staged :class:`~repro.formats.coo.COOMatrix` fails with the typed
+    error rather than an ``AttributeError``.  ``None`` (an absent
+    optional operand) passes.
+    """
+    for operand in operands:
+        if operand is not None and not isinstance(
+            operand, (ATMatrix, CSRMatrix, DenseMatrix)
+        ):
+            raise ConfigError(
+                f"unsupported matrix operand {type(operand).__name__}; expected "
+                "ATMatrix | CSRMatrix | DenseMatrix (partition a COOMatrix with "
+                "build_at_matrix)"
+            )
+
+
 def as_at_matrix(operand: MatrixOperand, config: SystemConfig) -> ATMatrix:
     """View a plain operand as a single-tile AT Matrix (zero partitioning).
 
     This is how ATMULT supports "plain matrix structures such as dense
     arrays or sparse CSR matrices" as independent operand types.  Any
-    other type raises :class:`~repro.errors.ConfigError`; staged
-    :class:`~repro.formats.coo.COOMatrix` input is partitioned with
-    :func:`~repro.core.builder.build_at_matrix` first.
+    other type raises :class:`~repro.errors.ConfigError` (see
+    :func:`check_operands`); staged :class:`~repro.formats.coo.COOMatrix`
+    input is partitioned with :func:`~repro.core.builder.build_at_matrix`
+    first.
     """
     if isinstance(operand, ATMatrix):
         return operand
-    if isinstance(operand, CSRMatrix):
-        kind = StorageKind.SPARSE
-    elif isinstance(operand, DenseMatrix):
-        kind = StorageKind.DENSE
-    else:
-        raise ConfigError(
-            f"unsupported matrix operand {type(operand).__name__}; expected "
-            "ATMatrix | CSRMatrix | DenseMatrix (partition a COOMatrix with "
-            "build_at_matrix)"
-        )
+    check_operands(operand)
+    kind = StorageKind.SPARSE if isinstance(operand, CSRMatrix) else StorageKind.DENSE
     observe_session.counter(f"operand.wraps.{kind.value}").inc()
     tile = Tile(0, 0, operand.rows, operand.cols, kind, operand)
     return ATMatrix(operand.rows, operand.cols, config, [tile])

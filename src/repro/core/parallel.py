@@ -59,7 +59,7 @@ from ..observe import session as observe_session
 from ..topology.system import SystemTopology
 from .atmatrix import ATMatrix
 from .atmult import _fold_plan_phases
-from .operands import MatrixOperand, as_at_matrix
+from .operands import MatrixOperand, as_at_matrix, check_operands
 from .report import ParallelReport
 
 __all__ = ["parallel_atmult"]
@@ -92,6 +92,7 @@ def parallel_atmult(
     opts = coerce_options(
         options, config=config, cost_model=cost_model, plan_cache=plan_cache
     )
+    check_operands(a, b)
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     resolved_config = opts.resolved_config()

@@ -4,9 +4,12 @@ The cost model's coefficients are "seconds per unit work" constants that
 depend on the host machine.  :func:`calibrate` times small, targeted
 workloads for each work term and fits the coefficients, replacing the
 shipped :data:`~repro.cost.model.DEFAULT_COEFFICIENTS` where measurements
-are available.  Calibration is optional — relative kernel rankings are
-robust against moderate coefficient error — but sharpens the turnaround
-thresholds on unusual machines.
+are available.  Kernel choices follow the coefficients' ratios, so
+coefficient error costs time: a set that charged dense flops 12x too
+much planned the suite at 1.4x the measured-fastest kernels.  Check any
+set with ``benchmarks/bench_regret.py`` before trusting it; this fit
+times sparse x sparse into a sparse target only, and splits that time
+between the expand and sort terms at the default ratio.
 """
 
 from __future__ import annotations

@@ -6,15 +6,20 @@ result density ``rho_c``.  Work terms follow the implemented algorithms:
 
 * sparse expansion flops ``F = m * k * n * rho_a * rho_b`` — the expected
   scalar product count of Gustavson's algorithm;
-* sort/merge work ``F * log2(F)`` for compressing sparse expansions;
+* sort/merge work ``F * log2(F)`` for compressing sparse expansions into
+  a sparse target (a dense target's kernel scatters them unsorted);
 * dense flops ``m * k * n`` for BLAS;
 * write costs asymmetric between dense targets (cheap accumulation into an
   array) and sparse targets (buffered triples merged by a global sort) —
   the asymmetry behind the paper's two thresholds ``rho0_R >> rho0_W``.
 
-Coefficients are machine-dependent; :mod:`repro.cost.calibrate` fits them
-from micro-benchmarks, and :data:`DEFAULT_COEFFICIENTS` ships values
-fitted on the reference development machine.
+Coefficients are machine-dependent, and the optimizer's plans follow
+their ratios, so an error of one term against another changes kernel
+choices.  :data:`DEFAULT_COEFFICIENTS` ships a
+:func:`~repro.cost.calibrate.refine_from_observation` fit chosen by plan
+regret in ``benchmarks/bench_regret.py`` on a 2-core Xeon with one BLAS
+thread per worker (``BENCH_regret.json``); :mod:`repro.cost.calibrate`
+fits a set for another host.
 """
 
 from __future__ import annotations
@@ -30,21 +35,21 @@ from ..kinds import StorageKind
 class CostCoefficients:
     """Machine-dependent weights of the cost model (seconds per unit work).
 
-    The absolute scale is irrelevant to the optimizer (only ratios drive
-    decisions); values are kept in rough "seconds per element operation"
-    units so predicted costs remain interpretable.
+    Decisions depend on the ratios between terms, not on the absolute
+    scale; values are kept in "seconds per element operation" units so
+    predicted costs can be compared with measured kernel times.
     """
 
     #: per expanded scalar product in sparse-sparse expansion
-    sparse_expand: float = 3.0e-8
+    sparse_expand: float = 3.5e-8
     #: per element-log-element of sort/merge work in sparse compression
-    sparse_sort: float = 1.0e-8
+    sparse_sort: float = 1.2e-8
     #: per scalar product of the CSR x dense row-accumulation kernel
-    spd_flop: float = 1.2e-8
+    spd_flop: float = 8.4e-9
     #: per scalar product of the dense x CSR column-accumulation kernel
-    dsp_flop: float = 1.4e-8
+    dsp_flop: float = 1.3e-8
     #: per scalar product of the BLAS dense kernel
-    dense_flop: float = 1.0e-9
+    dense_flop: float = 8.5e-11
     #: per cell written into a dense accumulator
     dense_write: float = 2.0e-9
     #: per triple appended to / merged into a sparse accumulator
@@ -122,9 +127,11 @@ class CostModel:
 
         if a_kind is StorageKind.SPARSE and b_kind is StorageKind.SPARSE:
             flops = volume * rho_a * rho_b
-            # Conservative for a dense target, whose kernel scatters without
-            # sorting; kept so that the optimizer's plans stay as they were.
-            compute = c.sparse_expand * flops + c.sparse_sort * _nlogn(flops)
+            compute = c.sparse_expand * flops
+            if c_kind is StorageKind.SPARSE:
+                # Compressed before buffering; a dense target's kernel
+                # scatters the expansion without sorting.
+                compute += c.sparse_sort * _nlogn(flops)
             produced = min(flops, float(m) * n)  # triples after compression
         elif a_kind is StorageKind.SPARSE:  # sparse x dense
             flops = volume * rho_a

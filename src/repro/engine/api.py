@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from ..config import SystemConfig
 from ..core.atmatrix import ATMatrix
-from ..core.operands import MatrixOperand, as_at_matrix
+from ..core.operands import MatrixOperand, as_at_matrix, check_operands
 from ..core.report import MultiplyReport
 from ..cost.model import CostModel
 from ..errors import PlanMismatchError, ShapeError
@@ -105,6 +105,7 @@ def plan(
     Consults (and fills) ``options.plan_cache`` when one is set.
     """
     opts = coerce_options(options, config=config, cost_model=cost_model)
+    check_operands(a, b)
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     resolved_config = opts.resolved_config()
@@ -141,6 +142,7 @@ def execute(
     opts = coerce_options(options, config=config, cost_model=cost_model)
     resolved_config = opts.resolved_config()
     resolved_model = opts.resolved_cost_model()
+    check_operands(a, b, c)
     if c is not None and c.shape != execution_plan.shape:
         raise ShapeError(
             f"C shape {c.shape} != result shape {execution_plan.shape}"

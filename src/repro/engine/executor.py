@@ -114,8 +114,7 @@ class _PairOutcome:
 class _ConversionCache:
     """Cached just-in-time tile conversions (one per tile, at most).
 
-    The execution-time twin of the legacy optimizer's conversion cache:
-    decisions live in the plan, but the converted payloads are runtime
+    Decisions live in the plan, but the converted payloads are runtime
     state keyed by tile identity — a tile converted for one product is
     reused by every later product of the same run.
     """

@@ -181,7 +181,7 @@ class ExecutionPlan:
 
 
 class _DecisionMemo:
-    """Quantized kernel-decision memo (mirrors the legacy optimizer)."""
+    """Quantized memo of the dynamic optimizer's input-kind decisions."""
 
     def __init__(self, cost_model: CostModel, enabled: bool) -> None:
         self.cost_model = cost_model

@@ -9,11 +9,14 @@ from repro import (
     COOMatrix,
     MultiplyOptions,
     PlanMismatchError,
+    SystemTopology,
     atmult,
     build_at_matrix,
     execute,
+    parallel_atmult,
     plan,
 )
+from repro.core import fixed_grid_at_matrix
 from repro.formats import coo_to_csr
 
 from ..conftest import as_csr, as_dense, heterogeneous_array, random_sparse_array
@@ -116,3 +119,40 @@ class TestAblationFlagsInPlan:
         assert execution_plan.use_estimation is False
         assert execution_plan.estimate is None
         assert np.isinf(execution_plan.write_threshold)
+
+
+class TestJustInTimeConversions:
+    """The executor converts a tile at most once per run, however many
+    products read it, and leaves hypersparse tiles sparse."""
+
+    def sparse_grid(self, array, small_config):
+        # Every 16 x 16 cell becomes one CSR tile, whatever its density.
+        return fixed_grid_at_matrix(COOMatrix.from_dense(array), small_config)
+
+    @pytest.mark.parametrize("execution", ["sequential", "threads"])
+    def test_one_conversion_per_tile(self, rng, small_config, execution):
+        array = rng.uniform(0.5, 1.0, (64, 64))
+        at = self.sparse_grid(array, small_config)
+        options = MultiplyOptions(config=small_config)
+        if execution == "sequential":
+            result, report = atmult(at, at, options=options)
+        else:
+            result, report = parallel_atmult(
+                at, at, topology=SystemTopology(sockets=4, cores_per_socket=1),
+                options=options,
+            )
+        # 16 full tiles, each read by 8 of the 64 products: dense kernels
+        # on converted copies, one conversion per tile.
+        assert len(at.tiles) == 16
+        assert report.kernel_counts == {"ddd_gemm": 64}
+        assert report.conversions == len(at.tiles)
+        np.testing.assert_allclose(result.to_dense(), array @ array, rtol=1e-12)
+
+    def test_hypersparse_tiles_stay_sparse(self, small_config):
+        array = np.zeros((64, 64))
+        array[::16, ::16] = 1.0  # one entry per tile
+        at = self.sparse_grid(array, small_config)
+        result, report = atmult(at, at, config=small_config)
+        assert report.conversions == 0
+        assert all(name.startswith("spsp") for name in report.kernel_counts)
+        np.testing.assert_array_equal(result.to_dense(), array @ array)

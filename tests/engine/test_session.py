@@ -9,10 +9,15 @@ from repro import (
     COOMatrix,
     Session,
     SystemConfig,
+    SystemTopology,
+    atmult,
     build_at_matrix,
     conjugate_gradient,
+    execute,
     jacobi,
     observe,
+    parallel_atmult,
+    plan,
     richardson,
 )
 
@@ -71,13 +76,23 @@ class TestFrontDoorOperands:
             "chain_coo",
             "solve_ndarray",
             "matvec_ndarray",
+            "multiply_ndarray",
+            "plan_ndarray",
+            "parallel_multiply_ndarray",
+            "atmult_ndarray",
+            "atmult_ndarray_c",
+            "parallel_atmult_ndarray",
+            "repro_plan_ndarray",
+            "execute_ndarray_c",
         ],
     )
     def test_rejects_unsupported_operands(self, rng, config, call):
         array = spd_system(rng, 32)
         coo = COOMatrix.from_dense(array)
+        at = build_at_matrix(coo, config)
         session = Session(config=config)
         vector = rng.random(32)
+        topology = SystemTopology(sockets=2, cores_per_socket=1)
         calls = {
             "solve_coo": lambda: session.solve(coo, vector),
             "matvec_coo": lambda: session.matvec(coo, vector),
@@ -85,6 +100,21 @@ class TestFrontDoorOperands:
             "chain_coo": lambda: session.multiply_chain([coo, coo]),
             "solve_ndarray": lambda: session.solve(array, vector),
             "matvec_ndarray": lambda: session.matvec(array, vector),
+            "multiply_ndarray": lambda: session.multiply(array, array),
+            "plan_ndarray": lambda: session.plan(array, array),
+            "parallel_multiply_ndarray": lambda: session.parallel_multiply(
+                array, array, topology=topology
+            ),
+            "atmult_ndarray": lambda: atmult(array, at, config=config),
+            # a C of the wrong shape is still rejected for its type first
+            "atmult_ndarray_c": lambda: atmult(at, at, np.zeros((8, 8)), config=config),
+            "parallel_atmult_ndarray": lambda: parallel_atmult(
+                at, array, topology=topology, config=config
+            ),
+            "repro_plan_ndarray": lambda: plan(array, array, config=config),
+            "execute_ndarray_c": lambda: execute(
+                plan(at, at, config=config), at, at, np.zeros((8, 8)), config=config
+            ),
         }
         with pytest.raises(
             ConfigError, match=r"ATMatrix \| CSRMatrix \| DenseMatrix"
