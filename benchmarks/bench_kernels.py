@@ -7,6 +7,8 @@ into an AT matrix and multiplied by itself once, sequentially, while a
 recorder registered in the kernel registry notes every
 ``(kernel, A window, B window, target)`` call.  Each kernel's recorded
 calls are then replayed into fresh accumulators, best of several rounds.
+Replays read the stored payloads, not the executor's per-run views, so
+every call extracts its own windows as the baselines below do.
 
 A kernel the planner never picks on a class (the sparse-target variants
 of the mixed and dense products, typically) is timed on the windows of
@@ -47,7 +49,7 @@ import numpy as np
 
 from repro import SystemConfig, atmult, build_at_matrix
 from repro.bench import host_record
-from repro.formats.csr import CSRMatrix, _segment_gather_indices
+from repro.formats.csr import CSRMatrix, CSRRunView, _segment_gather_indices
 from repro.generate.suite import load_matrix
 from repro.kernels import get_kernel, make_accumulator, products, register_kernel
 from repro.kinds import StorageKind, kernel_name
@@ -157,7 +159,9 @@ def record_calls(key: str) -> dict[tuple[StorageKind, ...], list[list[tuple]]]:
             if out is not last_out.get(combo):
                 pairs.append([])
                 last_out[combo] = out
-            pairs[-1].append((a, wa, b, wb, (out.rows, out.cols), row0, col0))
+            pairs[-1].append(
+                (stored(a), wa, stored(b), wb, (out.rows, out.cols), row0, col0)
+            )
             kernel(a, wa, b, wb, out, row0, col0)
         return record
 
@@ -169,6 +173,11 @@ def record_calls(key: str) -> dict[tuple[StorageKind, ...], list[list[tuple]]]:
         for combo, kernel in saved.items():
             register_kernel(*combo, kernel)
     return calls
+
+
+def stored(operand):
+    """The payload behind a run's memoizing view, so replays extract windows."""
+    return operand.source if isinstance(operand, CSRRunView) else operand
 
 
 def sample(pairs: list[list[tuple]], limit: int) -> list[list[tuple]]:

@@ -124,6 +124,14 @@ class ATMatrix:
         self, row0: int, row1: int, col0: int, col1: int
     ) -> list[Tile]:
         """All tiles intersecting the half-open element region."""
+        return [
+            self.tiles[i] for i in self.tile_ids_overlapping(row0, row1, col0, col1)
+        ]
+
+    def tile_ids_overlapping(
+        self, row0: int, row1: int, col0: int, col1: int
+    ) -> list[int]:
+        """Ascending indices into ``tiles`` of :meth:`tiles_overlapping`."""
         if not (0 <= row0 <= row1 <= self.rows and 0 <= col0 <= col1 <= self.cols):
             raise ShapeError(
                 f"region [{row0}:{row1}, {col0}:{col1}] outside {self.shape}"
@@ -133,7 +141,7 @@ class ATMatrix:
         b = self.zspace.b_atomic
         index = self._block_index()
         ids = np.unique(index[row0 // b : -(-row1 // b), col0 // b : -(-col1 // b)])
-        return [self.tiles[i] for i in ids if i >= 0]
+        return [int(i) for i in ids if i >= 0]
 
     # -- partition boundaries (used by ATMULT) -----------------------------------
     def row_cuts(self) -> list[int]:

@@ -63,7 +63,7 @@ from ..errors import (
     TaskFailedError,
 )
 from ..formats.convert import csr_to_dense, dense_to_csr
-from ..formats.csr import CSRMatrix
+from ..formats.csr import CSRMatrix, CSRRunView
 from ..formats.dense import DenseMatrix
 from ..kernels.accumulator import Accumulator, DenseAccumulator, make_accumulator
 from ..kernels.registry import run_tile_product
@@ -112,47 +112,57 @@ class _PairOutcome:
 
 
 class _ConversionCache:
-    """Cached just-in-time tile conversions (one per tile, at most).
+    """The payloads one run hands its kernels, prepared once per tile.
 
-    Decisions live in the plan, but the converted payloads are runtime
-    state keyed by tile identity — a tile converted for one product is
-    reused by every later product of the same run.
+    Decisions live in the plan, but these payloads are runtime state
+    keyed by tile identity and kind.  A tile converted for one product
+    is reused by every later product of the same run, and every sparse
+    payload, stored or converted, reaches the kernels as a
+    :class:`~repro.formats.csr.CSRRunView`, so each of its windows is
+    extracted once per run.  The cache lives as long as the run's
+    :class:`PairComputer`; the tiles themselves are never touched.
     """
 
     def __init__(self) -> None:
-        self._converted: dict[int, TilePayload] = {}
-        # Uncontended acquisition is ~100ns and conversions happen at
-        # most once per tile, so sequential runs share the locked path.
+        self._payloads: dict[tuple[int, StorageKind], TilePayload] = {}
+        # Uncontended acquisition is ~100ns, once per sparse operand of a
+        # product, so sequential runs share the locked path.
         self._lock = threading.Lock()
         self.conversions = 0
         self.conversion_seconds = 0.0
 
     def payload(self, tile: Tile, kind: StorageKind) -> TilePayload:
-        if kind is tile.kind:
+        if kind is StorageKind.DENSE and tile.kind is StorageKind.DENSE:
             return tile.data
         with self._lock:
-            return self._convert_locked(tile, kind)
+            return self._payload_locked(tile, kind)
 
-    def _convert_locked(self, tile: Tile, kind: StorageKind) -> TilePayload:
+    def _payload_locked(self, tile: Tile, kind: StorageKind) -> TilePayload:
         # id()-keyed on purpose: the key is runtime tile identity within
         # one run and never reaches plan or fingerprint content.
-        cached = self._converted.get(id(tile))  # repro-lint: disable=RPR011
+        key = (id(tile), kind)  # repro-lint: disable=RPR011
+        cached = self._payloads.get(key)
         if cached is not None:
             return cached
-        start = time.perf_counter()
-        if kind is StorageKind.DENSE:
+        prepared: TilePayload
+        if kind is tile.kind:
             assert isinstance(tile.data, CSRMatrix)
-            converted: TilePayload = csr_to_dense(tile.data)
+            prepared = CSRRunView(tile.data)
         else:
-            assert isinstance(tile.data, DenseMatrix)
-            converted = dense_to_csr(tile.data)
-        elapsed = time.perf_counter() - start
-        self.conversions += 1
-        self.conversion_seconds += elapsed
-        observe_session.counter("optimizer.conversions").inc()
-        observe_session.histogram("optimizer.conversion_seconds").observe(elapsed)
-        self._converted[id(tile)] = converted  # repro-lint: disable=RPR011
-        return converted
+            start = time.perf_counter()
+            if kind is StorageKind.DENSE:
+                assert isinstance(tile.data, CSRMatrix)
+                prepared = csr_to_dense(tile.data)
+            else:
+                assert isinstance(tile.data, DenseMatrix)
+                prepared = CSRRunView(dense_to_csr(tile.data))
+            elapsed = time.perf_counter() - start
+            self.conversions += 1
+            self.conversion_seconds += elapsed
+            observe_session.counter("optimizer.conversions").inc()
+            observe_session.histogram("optimizer.conversion_seconds").observe(elapsed)
+        self._payloads[key] = prepared
+        return prepared
 
 
 @dataclass
@@ -277,6 +287,10 @@ class PairComputer:
         try:
             with _span(obs, "pair", "pair", attrs):
                 fire_hooks("pair", (pair.ti, pair.tj))
+                if not pair.products and self.at_c is None:
+                    # Nothing to add up (every product may have been
+                    # pruned at plan time): no accumulator, no tile.
+                    return _PairOutcome(None, stats)
                 threshold = (
                     degradation.threshold
                     if degradation is not None

@@ -9,7 +9,8 @@ deciding half and records every resolution into an
 * the tile-pair list with geometry, estimated target density, target
   storage kind and worker-team (scheduler) assignment;
 * per pair, the tile products with their reference windows and the
-  dynamic optimizer's chosen input representations;
+  dynamic optimizer's chosen input representations, minus the products
+  whose sparse operand window is structurally empty;
 * the effective write-density threshold and the water level it came
   from.
 
@@ -120,6 +121,8 @@ class ExecutionPlan:
     estimate_seconds: float = 0.0
     optimize_seconds: float = 0.0
     decisions: int = 0
+    #: tile products dropped because a sparse operand window is empty
+    pruned_products: int = 0
     _memory_bytes: int = field(default=0, repr=False)
 
     @property
@@ -162,6 +165,7 @@ class ExecutionPlan:
             "shape": list(self.shape),
             "pairs": len(self.pairs),
             "products": self.num_products,
+            "pruned_products": self.pruned_products,
             "write_threshold": self.write_threshold,
             "dense_targets": sum(
                 1 for pair in self.pairs if pair.c_kind is StorageKind.DENSE
@@ -219,6 +223,56 @@ class _DecisionMemo:
         return chosen_a, chosen_b
 
 
+@dataclass(frozen=True, slots=True)
+class _TileFacts:
+    """What the pair loop reads of one operand tile."""
+
+    row0: int
+    row1: int
+    col0: int
+    col1: int
+    kind: StorageKind
+    structural_density: float
+
+
+class _OperandFacts:
+    """Per-tile facts of one operand and an O(1) empty-region test.
+
+    Built once per plan.  :meth:`empty` reads a summed-area table of the
+    non-empty blocks of the operand's structural density map at
+    ``config.b_atomic``; a block is at least as large as the region it
+    covers, so an all-empty cover means an empty region.  Ask it
+    about windows of sparse tiles only: a CSR pattern enters that map
+    exactly, but a dense tile enters with its density quantized to two
+    decimals, so a dense block at 0.00 may still hold values (see
+    :attr:`~repro.core.tile.Tile.structural_density`).
+    """
+
+    def __init__(self, at: ATMatrix, config: SystemConfig) -> None:
+        self.tiles = [
+            _TileFacts(
+                tile.row0, tile.row1, tile.col0, tile.col1, tile.kind,
+                tile.structural_density,
+            )
+            for tile in at.tiles
+        ]
+        # The map the estimator reads, so planning computes it once.
+        density = operand_density_map(at, config, structural=True)
+        self.block = density.block
+        grid_rows, grid_cols = density.grid_shape
+        table = np.zeros((grid_rows + 1, grid_cols + 1), dtype=np.int64)
+        table[1:, 1:] = np.cumsum(np.cumsum(density.grid > 0, axis=0), axis=1)
+        self._table: list[list[int]] = table.tolist()
+
+    def empty(self, row0: int, row1: int, col0: int, col1: int) -> bool:
+        """Whether every block the element region touches is empty."""
+        b = self.block
+        br0, br1 = row0 // b, -(-row1 // b)
+        bc0, bc1 = col0 // b, -(-col1 // b)
+        t = self._table
+        return t[br1][bc1] - t[br0][bc1] - t[br1][bc0] + t[br0][bc0] == 0
+
+
 def build_plan(
     at_a: ATMatrix,
     at_b: ATMatrix,
@@ -238,6 +292,15 @@ def build_plan(
     legacy monolith (``estimate``, ``water_level``, one ``optimize``
     span per product), so a traced uncached multiply looks identical to
     the pre-engine trace.
+
+    A tile product whose *sparse* operand window covers only empty blocks
+    of that operand's structural density map contributes nothing, so it
+    is dropped here instead of being dispatched (counted in
+    ``pruned_products``).  A CSR pattern is fingerprinted exactly, so the
+    plan stays a pure function of its key.  Windows of dense tiles are
+    never pruned: their structural density is quantized, and 0.00 can
+    hide values.  Pairs are kept even when all their products go, so
+    the pair set and plan fingerprint do not depend on the pruning.
     """
     # -- phase 1: density estimation (Alg. 2 line 2) ----------------------
     estimate: DensityMap | None = None
@@ -273,24 +336,24 @@ def build_plan(
     # -- phase 3 (deciding half): pair and product resolution --------------
     row_cuts = at_a.row_cuts()
     col_cuts = at_b.col_cuts()
-    # Tiles are keyed by their anchor coordinates — unique within an
-    # AT Matrix and stable across processes, unlike object identity.
-    a_ids = {
-        (tile.row0, tile.col0): index for index, tile in enumerate(at_a.tiles)
-    }
-    b_ids = {
-        (tile.row0, tile.col0): index for index, tile in enumerate(at_b.tiles)
-    }
+    # Tiles are referenced by their index in the operand's tile list —
+    # stable across processes, unlike object identity.
+    a_facts = _OperandFacts(at_a, config)
+    b_facts = _OperandFacts(at_b, config)
+    b_strips = [
+        at_b.tile_ids_overlapping(0, at_b.rows, col_cuts[tj], col_cuts[tj + 1])
+        for tj in range(len(col_cuts) - 1)
+    ]
     memo = _DecisionMemo(cost_model, dynamic_conversion)
     decisions = 0
+    pruned = 0
     pairs: list[PlannedPair] = []
     for ti in range(len(row_cuts) - 1):
         r0, r1 = row_cuts[ti], row_cuts[ti + 1]
-        a_strip = at_a.tiles_overlapping(r0, r1, 0, at_a.cols)
-        team_node = a_strip[0].numa_node if a_strip else 0
-        for tj in range(len(col_cuts) - 1):
+        a_strip = at_a.tile_ids_overlapping(r0, r1, 0, at_a.cols)
+        team_node = at_a.tiles[a_strip[0]].numa_node if a_strip else 0
+        for tj, b_strip in enumerate(b_strips):
             c0, c1 = col_cuts[tj], col_cuts[tj + 1]
-            b_strip = at_b.tiles_overlapping(0, at_b.rows, c0, c1)
             rho_c = (
                 estimate.region_density(r0, r1, c0, c1)
                 if estimate is not None
@@ -300,31 +363,38 @@ def build_plan(
                 StorageKind.SPARSE if rho_c < write_threshold else StorageKind.DENSE
             )
             products: list[PlannedProduct] = []
-            for a_tile in a_strip:
-                for b_tile in b_strip:
-                    k0 = max(a_tile.col0, b_tile.row0)
-                    k1 = min(a_tile.col1, b_tile.row1)
+            for a_index in a_strip:
+                a = a_facts.tiles[a_index]
+                a_row0, a_row1 = max(r0, a.row0), min(r1, a.row1)
+                for b_index in b_strip:
+                    b = b_facts.tiles[b_index]
+                    k0 = max(a.col0, b.row0)
+                    k1 = min(a.col1, b.row1)
                     if k0 >= k1:
                         continue
+                    b_col0, b_col1 = max(c0, b.col0), min(c1, b.col1)
+                    if (
+                        a.kind is StorageKind.SPARSE
+                        and a_facts.empty(a_row0, a_row1, k0, k1)
+                    ) or (
+                        b.kind is StorageKind.SPARSE
+                        and b_facts.empty(k0, k1, b_col0, b_col1)
+                    ):
+                        pruned += 1
+                        continue
                     wa = Window(
-                        max(r0, a_tile.row0) - a_tile.row0,
-                        min(r1, a_tile.row1) - a_tile.row0,
-                        k0 - a_tile.col0,
-                        k1 - a_tile.col0,
+                        a_row0 - a.row0, a_row1 - a.row0, k0 - a.col0, k1 - a.col0
                     )
                     wb = Window(
-                        k0 - b_tile.row0,
-                        k1 - b_tile.row0,
-                        max(c0, b_tile.col0) - b_tile.col0,
-                        min(c1, b_tile.col1) - b_tile.col0,
+                        k0 - b.row0, k1 - b.row0, b_col0 - b.col0, b_col1 - b.col0
                     )
                     decision_start = time.perf_counter()
                     with _span(obs, "optimize", "optimize"):
                         kind_a, kind_b = memo.decide(
-                            a_tile.kind, b_tile.kind, c_kind,
+                            a.kind, b.kind, c_kind,
                             wa.rows, wa.cols, wb.cols,
-                            a_tile.structural_density,
-                            b_tile.structural_density,
+                            a.structural_density,
+                            b.structural_density,
                             rho_c,
                         )
                     decisions += 1
@@ -334,12 +404,12 @@ def build_plan(
                         )
                     products.append(
                         PlannedProduct(
-                            a_index=a_ids[a_tile.row0, a_tile.col0],
-                            b_index=b_ids[b_tile.row0, b_tile.col0],
+                            a_index=a_index,
+                            b_index=b_index,
                             wa=wa,
                             wb=wb,
-                            target_row=max(r0, a_tile.row0) - r0,
-                            target_col=max(c0, b_tile.col0) - c0,
+                            target_row=a_row0 - r0,
+                            target_col=b_col0 - c0,
                             kind_a=kind_a,
                             kind_b=kind_b,
                             kernel=kernel_name(kind_a, kind_b, c_kind),
@@ -349,8 +419,8 @@ def build_plan(
                 PlannedPair(
                     ti=ti, tj=tj, r0=r0, r1=r1, c0=c0, c1=c1,
                     rho_c=rho_c, c_kind=c_kind, team_node=team_node,
-                    a_strip=tuple(a_ids[t.row0, t.col0] for t in a_strip),
-                    b_strip=tuple(b_ids[t.row0, t.col0] for t in b_strip),
+                    a_strip=tuple(a_strip),
+                    b_strip=tuple(b_strip),
                     products=tuple(products),
                 )
             )
@@ -381,6 +451,7 @@ def build_plan(
         estimate_seconds=estimate_seconds,
         optimize_seconds=optimize_seconds,
         decisions=decisions,
+        pruned_products=pruned,
     )
 
 

@@ -276,6 +276,46 @@ class CSRMatrix:
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
+class CSRRunView(CSRMatrix):
+    """A zero-copy view of a CSR payload that memoizes its window lookups.
+
+    The executor hands the kernels one view per sparse tile and run.  A
+    window of an A tile meets every B window of its tile row, so its
+    per-row ranges (:meth:`window_ranges`) and its window triples
+    (``window_memo``, filled by :mod:`repro.kernels.products`) are
+    resolved once per run instead of once per product.  The view shares
+    the payload's arrays and is dropped with the run, so persisted tiles
+    carry no memo state.  Two threads filling the same window may both
+    compute it; the results are identical and either one is kept.
+    """
+
+    __slots__ = ("source", "_ranges", "window_memo")
+
+    def __init__(self, source: CSRMatrix) -> None:
+        # Shared, not copied or re-validated: the source is already valid.
+        self.rows, self.cols = source.rows, source.cols
+        self.indptr, self.indices, self.values = (
+            source.indptr, source.indices, source.values,
+        )
+        self._keys = None
+        self.source = source
+        self._ranges: dict[tuple[int, int, int, int], tuple[IndexArray, IndexArray]] = {}
+        self.window_memo: dict[object, tuple[IndexArray, IndexArray, FloatArray]] = {}
+
+    def sorted_keys(self) -> IndexArray:
+        # Cached on the payload, where it outlives the run.
+        return self.source.sorted_keys()
+
+    def window_ranges(
+        self, row0: int, row1: int, col0: int, col1: int
+    ) -> tuple[IndexArray, IndexArray]:
+        key = (row0, row1, col0, col1)
+        ranges = self._ranges.get(key)
+        if ranges is None:
+            ranges = self._ranges[key] = super().window_ranges(row0, row1, col0, col1)
+        return ranges
+
+
 def _segment_gather_indices(starts: IndexArray, lengths: IndexArray) -> IndexArray:
     """Flat gather indices for variable-length segments.
 

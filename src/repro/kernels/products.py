@@ -32,7 +32,7 @@ import numpy as np
 
 from .._types import FloatArray, IndexArray
 from ..errors import ShapeError
-from ..formats.csr import CSRMatrix, _segment_gather_indices
+from ..formats.csr import CSRMatrix, CSRRunView
 from ..formats.dense import DenseMatrix
 from .window import Window
 
@@ -115,15 +115,22 @@ def _csr_row_ranges(
 
 def _csr_window_triples(matrix: CSRMatrix, window: Window) -> Triples:
     """Window-relative triples of a CSR operand, row-major order."""
-    window.validate_within(matrix.shape)
-    lo, hi = _csr_row_ranges(matrix, window)
-    lengths = hi - lo
-    total = int(lengths.sum())
-    if not total:
-        return _empty_triples()
-    take = _segment_gather_indices(lo, lengths)
-    rows = np.repeat(np.arange(window.rows, dtype=np.int64), lengths)
-    return rows, matrix.indices[take] - window.col0, matrix.values[take]
+    return matrix.window_mask(window.row0, window.row1, window.col0, window.col1)
+
+
+def _window_triples(matrix: CSRMatrix, window: Window) -> Triples:
+    """:func:`_csr_window_triples`, extracted once per window on a run view.
+
+    Callers only read the returned arrays: on a
+    :class:`~repro.formats.csr.CSRRunView` they are shared by every
+    product of the run that reads the same window.
+    """
+    if not isinstance(matrix, CSRRunView):
+        return _csr_window_triples(matrix, window)
+    triples = matrix.window_memo.get(window)
+    if triples is None:
+        triples = matrix.window_memo[window] = _csr_window_triples(matrix, window)
+    return triples
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +148,7 @@ def spsp_expansion(
     consumer to merge.
     """
     _check_inner(wa, wb)
-    a_rows, a_cols, a_vals = _csr_window_triples(a, wa)
+    a_rows, a_cols, a_vals = _window_triples(a, wa)
     if not len(a_vals):
         return
     b_lo, b_hi = _csr_row_ranges(b, wb)
@@ -197,7 +204,7 @@ def spsp_triples(a: CSRMatrix, wa: Window, b: CSRMatrix, wb: Window) -> Triples:
 def spsp_flops(a: CSRMatrix, wa: Window, b: CSRMatrix, wb: Window) -> int:
     """Exact scalar-multiplication count of the windowed CSR x CSR product."""
     _check_inner(wa, wb)
-    __, a_cols, __ = _csr_window_triples(a, wa)
+    __, a_cols, __ = _window_triples(a, wa)
     if not len(a_cols):
         return 0
     b_lo, b_hi = _csr_row_ranges(b, wb)
@@ -229,7 +236,7 @@ def spd_dense(a: CSRMatrix, wa: Window, b: DenseMatrix, wb: Window) -> FloatArra
     _check_inner(wa, wb)
     b_view = b.window_view(wb.row0, wb.row1, wb.col0, wb.col1)
     out = np.zeros((wa.rows, wb.cols), dtype=np.float64)
-    a_rows, a_cols, a_vals = _csr_window_triples(a, wa)
+    a_rows, a_cols, a_vals = _window_triples(a, wa)
     if not len(a_vals):
         return out
     chunk = max(1, EXPANSION_CHUNK // max(1, wb.cols))
@@ -266,7 +273,7 @@ def dsp_dense(a: DenseMatrix, wa: Window, b: CSRMatrix, wb: Window) -> FloatArra
     _check_inner(wa, wb)
     a_view = a.window_view(wa.row0, wa.row1, wa.col0, wa.col1)
     out = np.zeros((wa.rows, wb.cols), dtype=np.float64)
-    b_rows, b_cols, b_vals = _csr_window_triples(b, wb)
+    b_rows, b_cols, b_vals = _window_triples(b, wb)
     if not len(b_vals):
         return out
     order = np.argsort(b_cols, kind="stable")
