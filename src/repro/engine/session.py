@@ -13,9 +13,10 @@ everything:
 >>> # result, report = session.multiply(a, b)
 >>> # outcome = session.solve(a, rhs, method="cg")
 
-Matrix-vector products and the solvers run through the
-:func:`~repro.core.atmv.atmv` tile loop: a vector operand has no
-representation choice, so there is no plan to cache (see docs/API.md).
+Matrix-vector products and the solvers run through a
+:class:`~repro.core.atmv.MatvecOperator` (built once per solve): a
+vector operand has no representation choice, so there is no plan to
+cache (see docs/API.md).
 
 A session is also a context manager: ``with Session(...) as s:`` closes
 it on exit, which exports the session's observation to the paths given
@@ -217,11 +218,13 @@ class Session:
         return expr.evaluate(session=self)
 
     def matvec(self, matrix: MatrixOperand, vector: np.ndarray) -> np.ndarray:
-        """``A @ x`` through the :func:`~repro.core.atmv.atmv` tile loop.
+        """``A @ x`` through :func:`~repro.core.atmv.atmv`.
 
-        A vector operand has no representation choice, so nothing is
-        planned; the session only supplies the configuration a plain
-        operand is wrapped with.
+        Builds one :class:`~repro.core.atmv.MatvecOperator` and applies
+        it once (:meth:`solve` builds it once per solve).  A vector
+        operand has no representation choice, so nothing is planned; the
+        session only supplies the configuration a plain operand is
+        wrapped with.
         """
         return atmv(as_at_matrix(matrix, self.config), vector)
 
@@ -244,9 +247,10 @@ class Session:
         ``"jacobi"`` or ``"richardson"``.  Extra keywords go to the
         underlying solver (``tolerance``, ``max_iterations``,
         ``omega``, ...).  The matrix is wrapped once under this
-        session's configuration, every iteration multiplies through
-        :func:`~repro.core.atmv.atmv`, and the session's cancel token is
-        polled once per iteration.
+        session's configuration and turned into one
+        :class:`~repro.core.atmv.MatvecOperator` that every iteration
+        applies, and the session's cancel token is polled once per
+        iteration.
         """
         from ..solve import conjugate_gradient, jacobi, richardson
 

@@ -3,10 +3,10 @@
 The paper's related work (section V-A) leans on SpMV results — notably
 Vuduc's observation that "CSR tends to have best performance for sparse
 matrix-vector multiplication on a wide class of matrices", which
-motivated CSR as the sparse tile format.  These kernels provide the
-vector path for both plain matrices and windowed tiles, so the AT Matrix
-can serve iterative solvers (power iteration, PageRank, CG-style loops)
-without densifying.
+motivated CSR as the sparse tile format.  These are the per-matrix
+vector kernels the format comparison bench times; the AT Matrix's own
+vector path, which batches all tiles into one operator, is
+:class:`repro.core.atmv.MatvecOperator`.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..formats.csr import CSRMatrix, _segment_gather_indices
+from ..formats.csr import CSRMatrix
 from ..formats.dense import DenseMatrix
-from .window import Window
 
 
 def csr_spmv(matrix: CSRMatrix, vector: np.ndarray) -> np.ndarray:
@@ -39,28 +38,6 @@ def csr_spmv(matrix: CSRMatrix, vector: np.ndarray) -> np.ndarray:
     return out
 
 
-def csr_spmv_window(
-    matrix: CSRMatrix, window: Window, vector: np.ndarray
-) -> np.ndarray:
-    """Windowed CSR SpMV: ``y = A[window] @ x`` (x indexes window cols)."""
-    window.validate_within(matrix.shape)
-    vector = np.asarray(vector, dtype=np.float64).ravel()
-    if len(vector) != window.cols:
-        raise ShapeError(f"vector length {len(vector)} != window cols {window.cols}")
-    out = np.zeros(window.rows, dtype=np.float64)
-    lo, hi = matrix.window_ranges(window.row0, window.row1, window.col0, window.col1)
-    lengths = hi - lo
-    total = int(lengths.sum())
-    if not total:
-        return out
-    take = _segment_gather_indices(lo, lengths)
-    products = matrix.values[take] * vector[matrix.indices[take] - window.col0]
-    occupied = np.flatnonzero(lengths)
-    boundaries = np.concatenate([[0], np.cumsum(lengths[occupied])[:-1]])
-    out[occupied] = np.add.reduceat(products, boundaries)
-    return out
-
-
 def dense_spmv(matrix: DenseMatrix, vector: np.ndarray) -> np.ndarray:
     """``y = A @ x`` for the dense representation (BLAS gemv)."""
     vector = np.asarray(vector, dtype=np.float64).ravel()
@@ -68,14 +45,3 @@ def dense_spmv(matrix: DenseMatrix, vector: np.ndarray) -> np.ndarray:
         raise ShapeError(f"vector length {len(vector)} != cols {matrix.cols}")
     return matrix.array @ vector
 
-
-def dense_spmv_window(
-    matrix: DenseMatrix, window: Window, vector: np.ndarray
-) -> np.ndarray:
-    """Windowed dense SpMV over a zero-copy view."""
-    window.validate_within(matrix.shape)
-    vector = np.asarray(vector, dtype=np.float64).ravel()
-    if len(vector) != window.cols:
-        raise ShapeError(f"vector length {len(vector)} != window cols {window.cols}")
-    view = matrix.window_view(window.row0, window.row1, window.col0, window.col1)
-    return view @ vector

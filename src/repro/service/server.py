@@ -636,9 +636,10 @@ class MatrixService:
         ``execute_plan``, which polls it at tile-pair boundaries; a
         tripped token flushes the job's checkpoint before unwinding, so
         the journal under ``ckpt/`` stays resumable.  Matvec and solve
-        jobs run through :func:`~repro.core.atmv.atmv` under the shared
-        session's configuration; a solve polls the token once per
-        iteration.
+        jobs run under the shared session's configuration: a matvec is
+        one :func:`~repro.core.atmv.atmv`, a solve builds one
+        :class:`~repro.core.atmv.MatvecOperator` and applies it per
+        iteration, polling the token once per iteration.
         """
         cancel.check()
         spec = record.spec

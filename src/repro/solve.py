@@ -3,12 +3,12 @@
 "Solving linear systems" is the first application the paper's
 introduction lists.  These solvers accept any matrix operand (AT Matrix,
 CSR or dense); the operand is wrapped **once** before the iteration loop
-and every matrix-vector product runs through the
-:func:`~repro.core.atmv.atmv` tile loop, so dense regions go through
-BLAS gemv.  A vector operand has no representation choice, so there is
-nothing to plan: a ``session=`` or ``options=`` only supplies the
-configuration the operand is wrapped with and the cancel token polled
-once per iteration.
+and turned into one :class:`~repro.core.atmv.MatvecOperator`, and every
+matrix-vector product applies it: one gather, one segmented sum and one
+ordered scatter over the sparse tiles, a BLAS gemv per dense tile.  A
+vector operand has no representation choice, so there is nothing to
+plan: a ``session=`` or ``options=`` only supplies the configuration the
+operand is wrapped with and the cancel token polled once per iteration.
 
 Provided methods:
 
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core.atmv import atmv
+from .core.atmv import MatvecOperator
 from .core.operands import MatrixOperand, as_at_matrix
 from .engine.options import MultiplyOptions, reject_checkpoint
 from .errors import ReproError, ShapeError
@@ -65,13 +65,15 @@ def _setup(
     rhs: np.ndarray,
     session: Session | None,
     options: MultiplyOptions | None,
-) -> tuple[ATMatrix, np.ndarray, Callable[[int], None]]:
-    """Wrap the operand once, check the system, build the iteration tick.
+) -> tuple[ATMatrix, MatvecOperator, np.ndarray, Callable[[int], None]]:
+    """Wrap the operand once, check the system, build matvec and tick.
 
     The operand is wrapped with :func:`as_at_matrix` exactly once, here,
     before any iteration runs (the regression tests count
     ``operand.wraps.*`` metric increments to pin this down), under the
-    session's or options' configuration.  The returned tick runs at the
+    session's or options' configuration, and its
+    :class:`~repro.core.atmv.MatvecOperator` is built once, so the
+    iterations only apply it.  The returned tick runs at the
     top of every iteration: it fires the ``"iteration"`` fault-injection
     hook, then polls the options' cancel token.  A checkpoint store
     raises :class:`~repro.errors.ConfigError`: it journals a single
@@ -95,7 +97,7 @@ def _setup(
         if cancel is not None:
             cancel.check()
 
-    return at, rhs, tick
+    return at, MatvecOperator(at), rhs, tick
 
 
 def richardson(
@@ -110,13 +112,13 @@ def richardson(
     options: MultiplyOptions | None = None,
 ) -> SolveResult:
     """Damped Richardson iteration ``x += omega * (b - A x)``."""
-    at, rhs, tick = _setup(matrix, rhs, session, options)
+    _, matvec, rhs, tick = _setup(matrix, rhs, session, options)
     x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     norm_b = np.linalg.norm(rhs) or 1.0
     residual_norm = np.inf
     for iteration in range(1, max_iterations + 1):
         tick(iteration)
-        residual = rhs - atmv(at, x)
+        residual = rhs - matvec(x)
         residual_norm = float(np.linalg.norm(residual))
         if residual_norm <= tolerance * norm_b:
             return SolveResult(x, iteration - 1, residual_norm, True)
@@ -139,7 +141,7 @@ def jacobi(
     Converges for strictly diagonally dominant systems; raises
     :class:`ShapeError` when the diagonal contains zeros.
     """
-    at, rhs, tick = _setup(matrix, rhs, session, options)
+    at, matvec, rhs, tick = _setup(matrix, rhs, session, options)
     diagonal = at.to_csr().diagonal()
     if np.any(diagonal == 0.0):
         raise ShapeError("Jacobi requires a zero-free diagonal")
@@ -148,7 +150,7 @@ def jacobi(
     residual_norm = np.inf
     for iteration in range(1, max_iterations + 1):
         tick(iteration)
-        ax = atmv(at, x)
+        ax = matvec(x)
         residual_norm = float(np.linalg.norm(rhs - ax))
         if residual_norm <= tolerance * norm_b:
             return SolveResult(x, iteration - 1, residual_norm, True)
@@ -168,7 +170,7 @@ def conjugate_gradient(
     options: MultiplyOptions | None = None,
 ) -> SolveResult:
     """Conjugate gradients for symmetric positive definite systems."""
-    at, rhs, tick = _setup(matrix, rhs, session, options)
+    at, matvec, rhs, tick = _setup(matrix, rhs, session, options)
     budget = max_iterations if max_iterations is not None else 10 * at.rows
     if x0 is None:
         # Default zero start: r0 = b - A 0 = b, no product needed.
@@ -176,7 +178,7 @@ def conjugate_gradient(
         residual = rhs.copy()
     else:
         x = np.asarray(x0, dtype=np.float64).copy()
-        residual = rhs - atmv(at, x)
+        residual = rhs - matvec(x)
     direction = residual.copy()
     rho = float(residual @ residual)
     norm_b = np.linalg.norm(rhs) or 1.0
@@ -184,7 +186,7 @@ def conjugate_gradient(
         tick(iteration)
         if np.sqrt(rho) <= tolerance * norm_b:
             return SolveResult(x, iteration - 1, float(np.sqrt(rho)), True)
-        a_direction = atmv(at, direction)
+        a_direction = matvec(direction)
         curvature = float(direction @ a_direction)
         if curvature <= 0.0:
             # Not SPD (or numerically singular): stop honestly.

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ShapeError
-from repro.kernels import Window
-from repro.kernels.spmv import csr_spmv, csr_spmv_window, dense_spmv, dense_spmv_window
+from repro.kernels.spmv import csr_spmv, dense_spmv
 
 from ..conftest import as_csr, as_dense, random_sparse_array
 
@@ -36,33 +35,6 @@ class TestCsrSpmv:
             csr_spmv(as_csr(array), np.ones(4))
 
 
-class TestWindowedSpmv:
-    def test_csr_window_matches_slice(self, rng):
-        array = random_sparse_array(rng, 30, 30, 0.2)
-        window = Window(5, 20, 8, 25)
-        x = rng.random(17)
-        got = csr_spmv_window(as_csr(array), window, x)
-        np.testing.assert_allclose(got, array[5:20, 8:25] @ x)
-
-    def test_dense_window_matches_slice(self, rng):
-        array = random_sparse_array(rng, 20, 20, 0.5)
-        window = Window(2, 12, 3, 15)
-        x = rng.random(12)
-        got = dense_spmv_window(as_dense(array), window, x)
-        np.testing.assert_allclose(got, array[2:12, 3:15] @ x)
-
-    def test_empty_window_region(self, rng):
-        array = np.zeros((10, 10))
-        array[0, 0] = 1.0
-        got = csr_spmv_window(as_csr(array), Window(5, 10, 5, 10), np.ones(5))
-        np.testing.assert_allclose(got, np.zeros(5))
-
-    def test_window_length_mismatch(self, rng):
-        array = random_sparse_array(rng, 8, 8, 0.5)
-        with pytest.raises(ShapeError):
-            csr_spmv_window(as_csr(array), Window(0, 4, 0, 4), np.ones(5))
-
-
 class TestDenseSpmv:
     def test_matches_numpy(self, rng):
         array = rng.random((12, 9))
@@ -85,7 +57,3 @@ class TestSpmvProperties:
         expected = array @ x
         np.testing.assert_allclose(csr_spmv(as_csr(array), x), expected, atol=1e-12)
         np.testing.assert_allclose(dense_spmv(as_dense(array), x), expected, atol=1e-12)
-        full = Window.full(array.shape)
-        np.testing.assert_allclose(
-            csr_spmv_window(as_csr(array), full, x), expected, atol=1e-12
-        )

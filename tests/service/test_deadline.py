@@ -224,7 +224,11 @@ class TestSolveJobDeadline:
     def test_solve_job_past_its_deadline_lands_deadline_exceeded(
         self, small_config, rng, tmp_path
     ):
-        """Solve jobs carry the job's token into every pinned matvec."""
+        """Solve jobs poll the job's token once per iteration.
+
+        The ``"kernel"`` hook fires once per tile in every matvec, so
+        per-tile stalls stretch each iteration past the deadline.
+        """
         n = 64
         mask = rng.random((n, n)) < 0.05
         base = np.where(mask, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
