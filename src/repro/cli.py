@@ -431,8 +431,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
             server.close()
-            await server.wait_closed()
+            # Draining closes every open connection after its current
+            # request; only then can the server finish closing.
             await service.drain(timeout=args.drain_timeout)
+            await server.wait_closed()
         print("drained; queued jobs will resume on the next server", flush=True)
 
     asyncio.run(run())

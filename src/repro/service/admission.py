@@ -60,7 +60,8 @@ class AdmissionController:
 
     ``memory_limit_bytes=None`` disables the SLA entirely: every job is
     admitted with a zero reservation.  The controller is thread-safe;
-    the async service wraps :meth:`acquire` polling in its worker loop.
+    a service worker retries :meth:`try_acquire` each time another job
+    settles (its :meth:`release` runs first).
     """
 
     def __init__(

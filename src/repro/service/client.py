@@ -41,6 +41,8 @@ for the end-to-end fault matrix.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import socket
 import time
@@ -69,8 +71,8 @@ __all__ = ["CircuitBreaker", "Deadline", "ServiceClient"]
 #: the server's request cap in :mod:`repro.service.protocol`).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: How long :meth:`ServiceClient.wait` sleeps between status polls.
-_WAIT_POLL_SECONDS = 0.05
+#: Job states after which a job never changes again.
+_TERMINAL_STATES = frozenset({"done", "failed", "cancelled", "deadline_exceeded"})
 
 #: Default retry discipline for transport failures: a few quick,
 #: jittered attempts — service calls are interactive, not batch.
@@ -207,7 +209,7 @@ class ServiceClient:
         self.retry = retry if retry is not None else DEFAULT_CLIENT_RETRY
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._sock: socket.socket | None = None
-        self._buffer = b""
+        self._buffer = bytearray()
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -217,7 +219,7 @@ class ServiceClient:
             except OSError:  # pragma: no cover - close is best-effort
                 pass
             self._sock = None
-        self._buffer = b""
+        self._buffer.clear()
 
     def __enter__(self) -> ServiceClient:
         return self
@@ -307,24 +309,35 @@ class ServiceClient:
         """The finished job's dense result values, CRC-verified locally.
 
         Raises :class:`~repro.errors.IntegrityError` when the payload's
-        values do not match the digest the server computed — a mangled
-        or tampered result is never silently returned.
+        bytes do not match the digest the server computed (or do not
+        decode to the stated shape) — a mangled or tampered result is
+        never silently returned.
         """
         response = self._rpc(
             {"op": "result", "job_id": job_id}, op="result", deadline=deadline
         )
         payload = response["result"]
-        values = np.asarray(payload["values"], dtype=np.float64).reshape(
-            payload["shape"]
-        )
-        actual = crc32c(values)
+        try:
+            raw = base64.b64decode(payload["data"], validate=True)
+        except (binascii.Error, TypeError, ValueError) as error:
+            raise IntegrityError(
+                f"result of job {job_id!r} is not valid base64: {error}"
+            ) from error
+        actual = crc32c(raw)
         stored = int(payload["crc32c"])
         if actual != stored:
             raise IntegrityError(
                 f"result of job {job_id!r} failed its CRC-32C check in "
                 f"transit (stored {stored:#010x}, computed {actual:#010x})"
             )
-        return values
+        try:
+            values = np.frombuffer(raw, dtype="<f8").reshape(payload["shape"])
+        except ValueError as error:
+            raise IntegrityError(
+                f"result of job {job_id!r} does not match its shape "
+                f"{payload['shape']}: {error}"
+            ) from error
+        return values.astype(np.float64)
 
     def cancel(self, job_id: str, *, deadline: Deadline | None = None) -> bool:
         response = self._rpc(
@@ -339,21 +352,37 @@ class ServiceClient:
         timeout: float = 60.0,
         deadline: Deadline | None = None,
     ) -> dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns its status."""
-        terminal = ("done", "failed", "cancelled", "deadline_exceeded")
+        """Block until the job reaches a terminal state; returns its status.
+
+        Each round trip is one long-poll ``wait`` request that the server
+        answers as soon as the job settles.  The hold it asks for is at
+        most half of that exchange's socket timeout (``request_timeout``
+        capped by the ``deadline``) and never past ``timeout``, so a held
+        request is never mistaken for a dead connection.  Raises
+        :class:`TimeoutError` if the job is still not terminal after
+        ``timeout`` seconds.
+        """
         expires = time.monotonic() + timeout
         while True:
             if deadline is not None:
                 deadline.check(f"wait for job {job_id}")
-            status = self.status(job_id, deadline=deadline)
-            if status.get("state") in terminal:
+            exchange = self.request_timeout
+            if deadline is not None:
+                exchange = min(exchange, deadline.remaining())
+            hold = max(0.0, min(expires - time.monotonic(), exchange / 2))
+            response = self._rpc(
+                {"op": "wait", "job_id": job_id, "timeout": hold},
+                op="wait",
+                deadline=deadline,
+            )
+            status = dict(response["status"])
+            if status.get("state") in _TERMINAL_STATES:
                 return status
             if time.monotonic() >= expires:
                 raise TimeoutError(
                     f"job {job_id} still {status.get('state')!r} after "
                     f"{timeout:g}s"
                 )
-            time.sleep(_WAIT_POLL_SECONDS)
 
     # -- transport ---------------------------------------------------------
     def _rpc(
@@ -438,29 +467,35 @@ class ServiceClient:
                 f"cannot connect to {self.host}:{self.port}: {error}",
                 cause=error,
             ) from error
-        self._buffer = b""
+        self._buffer.clear()
         return self._sock
 
     def _read_frame(self, sock: socket.socket) -> bytes:
-        """One newline-terminated response frame, size-capped."""
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline != -1:
-                frame = self._buffer[:newline]
-                self._buffer = self._buffer[newline + 1:]
-                return frame
-            if len(self._buffer) > MAX_FRAME_BYTES:
+        """One newline-terminated response frame, size-capped.
+
+        Bytes past the newline stay buffered for the next frame.  Each
+        received chunk is searched once, so a frame costs time linear in
+        its size.
+        """
+        buffer = self._buffer
+        scanned = 0
+        while (newline := buffer.find(b"\n", scanned)) == -1:
+            if len(buffer) > MAX_FRAME_BYTES:
                 raise FrameTooLargeError(
                     f"response frame exceeds the {MAX_FRAME_BYTES} byte cap",
                     limit_bytes=MAX_FRAME_BYTES,
                 )
+            scanned = len(buffer)
             chunk = sock.recv(65536)
             if not chunk:
                 raise TransportError(
                     f"connection to {self.host}:{self.port} closed mid-frame "
-                    f"({len(self._buffer)} bytes buffered)"
+                    f"({len(buffer)} bytes buffered)"
                 )
-            self._buffer += chunk
+            buffer += chunk
+        frame = bytes(buffer[:newline])
+        del buffer[: newline + 1]
+        return frame
 
     def _raise_remote(self, error_obj: Any) -> None:
         """Re-raise a server-side error payload as its typed class."""

@@ -7,10 +7,15 @@ field:
 * ``{"op": "submit", "tenant": T, "job": {"op": "multiply", "a": ...,
   "b": ...}}`` → ``{"ok": true, "job_id": ...}``
 * ``{"op": "status", "job_id": J}`` → ``{"ok": true, "status": {...}}``
+* ``{"op": "wait", "job_id": J, "timeout": s}`` → ``{"ok": true,
+  "status": {...}}`` — a long poll: the answer comes as soon as the job
+  is terminal, when ``timeout`` (clamped to :data:`MAX_WAIT_SECONDS`)
+  runs out, or when the service starts draining.  A non-terminal status
+  at timeout is not an error.
 * ``{"op": "result", "job_id": J}`` → ``{"ok": true, "result":
-  {"shape": [r, c], "values": [...], "crc32c": N}}`` — the flattened
-  row-major values plus their CRC-32C digest, so clients can verify
-  bit-identical recovery end to end.
+  {"shape": [r, c], "data": B, "crc32c": N}}`` — ``B`` is the base64 of
+  the C-order little-endian float64 bytes and ``N`` their CRC-32C, so
+  clients can verify bit-identical recovery end to end.
 * ``{"op": "cancel", "job_id": J}`` → ``{"ok": true, "cancelled": bool}``
 * ``{"op": "metrics"}`` → the :meth:`MatrixService.metrics` export.
 * ``{"op": "matrices"}`` → the registered matrix names.
@@ -34,11 +39,16 @@ Frames are bounded: a request line longer than
 answered with a typed ``FrameTooLargeError`` payload instead of growing
 the buffer without bound; a frame truncated by a mid-line disconnect
 closes that connection without disturbing the server.
+
+Once the service starts draining, every connection is closed after the
+request it is serving (a held ``wait`` is answered at once with the
+job's current status), so no open connection holds up shutdown.
 """
 
 from __future__ import annotations
 
 import asyncio
+import base64
 import contextlib
 import json
 from typing import Any
@@ -53,6 +63,10 @@ from .server import MatrixService
 #: whole (small) matrices as JSON, far past asyncio's 64 KiB default.
 #: Requests beyond this are rejected with ``FrameTooLargeError``.
 STREAM_LIMIT_BYTES = 64 * 1024 * 1024
+
+#: Longest a ``wait`` request is held, in seconds: below the client's
+#: default request timeout, so a held wait never looks like a dead link.
+MAX_WAIT_SECONDS = 10.0
 
 
 def _error_payload(error: ReproError) -> dict[str, Any]:
@@ -101,10 +115,10 @@ def _frame(response: dict[str, Any]) -> bytes:
 
 
 def _result_payload(values: np.ndarray) -> dict[str, Any]:
-    array = np.ascontiguousarray(values, dtype=np.float64)
+    array = np.ascontiguousarray(values, dtype="<f8")
     return {
         "shape": list(array.shape),
-        "values": array.ravel().tolist(),
+        "data": base64.b64encode(array).decode("ascii"),
         "crc32c": crc32c(array),
     }
 
@@ -116,7 +130,7 @@ def _result_frame(values: np.ndarray) -> bytes:
 async def _dispatch(service: MatrixService, request: dict[str, Any]) -> bytes:
     """Answer one request with its encoded response line.
 
-    A result's float list and its JSON are built on the default
+    A result's base64 bytes and its JSON are built on the default
     executor, so other connections are served while it encodes.
     """
     op = request.get("op")
@@ -154,10 +168,16 @@ async def _dispatch(service: MatrixService, request: dict[str, Any]) -> bytes:
             ),
         )
         return _frame({"ok": True, "job_id": job_id})
-    if op in ("status", "result", "cancel"):
+    if op in ("status", "wait", "result", "cancel"):
         job_id = str(request.get("job_id", ""))
         if op == "status":
             status = await service.status(job_id)
+            return _frame({"ok": True, "status": status.to_json_dict()})
+        if op == "wait":
+            timeout = float(request.get("timeout", MAX_WAIT_SECONDS))
+            status = await service.long_poll(
+                job_id, timeout=min(MAX_WAIT_SECONDS, max(0.0, timeout))
+            )
             return _frame({"ok": True, "status": status.to_json_dict()})
         if op == "result":
             values = await service.result(job_id)
@@ -168,13 +188,31 @@ async def _dispatch(service: MatrixService, request: dict[str, Any]) -> bytes:
     raise FormatError(f"unknown request op {op!r}")
 
 
+async def _end_reads_on_drain(
+    service: MatrixService,
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+) -> None:
+    """Once the service drains, stop reading this connection.
+
+    An idle handler's pending read then ends as a clean EOF; a handler
+    serving a request answers it first, then sees the drain and closes.
+    """
+    await service.until_draining()
+    transport = writer.transport
+    if isinstance(transport, asyncio.ReadTransport):
+        transport.pause_reading()  # no data may follow the EOF fed below
+    reader.feed_eof()
+
+
 async def _handle_connection(
     service: MatrixService,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
+    watcher = asyncio.create_task(_end_reads_on_drain(service, reader, writer))
     try:
-        while True:
+        while not service.draining:
             try:
                 line = await _read_frame(reader)
             except FrameTooLargeError as error:
@@ -197,6 +235,7 @@ async def _handle_connection(
             writer.write(frame)
             await writer.drain()
     finally:
+        watcher.cancel()
         writer.close()
         with contextlib.suppress(Exception):
             await writer.wait_closed()

@@ -37,11 +37,20 @@ and :meth:`MatrixService.drain` trip; the engine observes it at
 tile-pair boundaries, flushes the job checkpoint, and the job lands
 ``CANCELLED`` / ``DEADLINE_EXCEEDED`` — both resumable by resubmitting
 the same job id.
+
+Waiting on job state: every wait — :meth:`MatrixService.wait`, the
+wire's long-poll (:meth:`MatrixService.long_poll`), a worker waiting for
+admission headroom and :meth:`MatrixService.drain` — blocks on one
+broadcast "job settled" signal instead of sleeping between polls.  The
+signal fires when a job leaves ``RUNNING`` (after its final state is on
+disk), when a queued job is cancelled or its deadline expires before it
+runs, and when draining starts.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,9 +76,6 @@ from ..resilience.checkpoint import CheckpointStore
 from .admission import AdmissionController
 from .jobs import JobRecord, JobSpec, JobState, JobStore, new_job_id
 from .registry import MatrixRegistry
-
-#: How long a worker sleeps between footprint-acquisition retries.
-_ACQUIRE_POLL_SECONDS = 0.02
 
 #: Spans and cost samples the server's own observation keeps; older ones
 #: are dropped, so a long-running server's memory stays bounded.
@@ -171,6 +177,11 @@ class MatrixService:
         self._cancel_tokens: dict[str, CancelToken] = {}
         #: idempotency key -> job id, rebuilt from the store on start
         self._idempotency: dict[str, str] = {}
+        #: ids of jobs a worker holds from RUNNING until their final
+        #: state is on disk
+        self._executing: set[str] = set()
+        #: the broadcast "job settled" signal, replaced on every notify
+        self._settled = asyncio.Event()
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> int:
@@ -222,28 +233,30 @@ class MatrixService:
         then trips their cancel tokens with reason ``"drain"`` — each
         job checkpoints at the next tile-pair boundary and its record
         reverts to ``QUEUED`` so no ``RUNNING`` record is stranded.
-        Finally stops the worker pool.
+        Finally stops the worker pool.  Returns once every job that was
+        running has its final (or reverted) state on disk, or after the
+        grace period of ``max(5, timeout)`` seconds past the cancel.
         """
         self._draining = True
         self.observer.metrics.gauge("service.draining").set(1)
-
-        def running() -> bool:
-            return any(
-                record.state is JobState.RUNNING
-                for record in self._records.values()
-            )
-
-        deadline = time.monotonic() + timeout
-        while running() and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
+        self._notify_settled()
+        await self._until_idle(timeout)
         for token in list(self._cancel_tokens.values()):
             token.cancel("drain")
         # Cancelled jobs unwind within about one tile-pair; bound the
         # wait anyway so a wedged kernel cannot hold shutdown hostage.
-        grace = time.monotonic() + max(5.0, timeout)
-        while running() and time.monotonic() < grace:
-            await asyncio.sleep(0.02)
+        await self._until_idle(max(5.0, timeout))
         await self.stop()
+
+    @property
+    def draining(self) -> bool:
+        """True once :meth:`drain` has begun."""
+        return self._draining
+
+    async def until_draining(self) -> None:
+        """Return once :meth:`drain` has begun."""
+        while not self._draining:
+            await self._next_settle(None)
 
     def health(self) -> dict[str, Any]:
         """Liveness snapshot: cheap, lock-free, safe to poll."""
@@ -436,18 +449,28 @@ class MatrixService:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.store.save, record)
         self._gauge_queue_depth()
+        self._notify_settled()
         return True
 
     async def wait(self, job_id: str, *, timeout: float = 60.0) -> JobStatus:
-        """Poll until the job reaches a terminal state."""
-        deadline = time.monotonic() + timeout
-        while True:
-            status = await self.status(job_id)
-            if status.state.terminal:
-                return status
-            if time.monotonic() >= deadline:
-                raise TimeoutError(f"job {job_id} still {status.state.value}")
-            await asyncio.sleep(0.01)
+        """Block until the job reaches a terminal state.
+
+        Raises :class:`TimeoutError` if it has not after ``timeout``
+        seconds.
+        """
+        status = await self._await_job(job_id, timeout, until_draining=False)
+        if not status.state.terminal:
+            raise TimeoutError(f"job {job_id} still {status.state.value}")
+        return status
+
+    async def long_poll(self, job_id: str, *, timeout: float) -> JobStatus:
+        """The job's status once it is terminal, the service starts
+        draining, or ``timeout`` seconds pass — whichever comes first.
+
+        A non-terminal status at timeout is an answer, not an error; an
+        unknown id raises :class:`UnknownJobError` as :meth:`status` does.
+        """
+        return await self._await_job(job_id, timeout, until_draining=True)
 
     def metrics(self) -> dict[str, Any]:
         """JSON-serializable export of the service's whole metric surface."""
@@ -510,6 +533,42 @@ class MatrixService:
     def _gauge_queue_depth(self) -> None:
         self.observer.metrics.gauge("service.queue_depth").set(self._pending_count())
 
+    def _notify_settled(self) -> None:
+        """Wake every waiter on the settled signal; later waits get a new one."""
+        self._settled.set()
+        self._settled = asyncio.Event()
+
+    async def _next_settle(self, timeout: float | None) -> None:
+        """Block until the settled signal fires or ``timeout`` seconds pass.
+
+        Callers check their condition and call this with no ``await`` in
+        between, so a notify cannot slip past unseen.
+        """
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(self._settled.wait(), timeout)
+
+    async def _await_job(
+        self, job_id: str, timeout: float, *, until_draining: bool
+    ) -> JobStatus:
+        deadline = time.monotonic() + timeout
+        while True:
+            status = await self.status(job_id)
+            if status.state.terminal or (until_draining and self._draining):
+                return status
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return status
+            await self._next_settle(remaining)
+
+    async def _until_idle(self, timeout: float) -> None:
+        """Wait until no job is executing, for at most ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        while self._executing:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            await self._next_settle(remaining)
+
     async def _worker(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
@@ -536,17 +595,20 @@ class MatrixService:
                         continue
                 token = CancelToken(deadline_seconds=remaining)
                 self._cancel_tokens[job_id] = token
+                # Headroom frees when another job's release runs in its
+                # worker's finally, which fires the settled signal; the
+                # token's deadline bounds the wait.
                 acquired = False
                 while not (
-                    acquired := self.admission.try_acquire(record.reserved_bytes)
+                    self._draining
+                    or token.cancelled
+                    or record.state is not JobState.QUEUED
                 ):
-                    if (
-                        self._draining
-                        or token.cancelled
-                        or record.state is not JobState.QUEUED
+                    if acquired := self.admission.try_acquire(
+                        record.reserved_bytes
                     ):
                         break
-                    await asyncio.sleep(_ACQUIRE_POLL_SECONDS)
+                    await self._next_settle(token.remaining())
                 if not acquired:
                     self._cancel_tokens.pop(job_id, None)
                     if record.state is JobState.QUEUED and token.deadline_expired:
@@ -557,6 +619,7 @@ class MatrixService:
                     # already persisted CANCELLED.
                     continue
                 record.state = JobState.RUNNING
+                self._executing.add(job_id)
                 await loop.run_in_executor(None, self.store.save, record)
                 started = time.monotonic()
                 try:
@@ -599,13 +662,16 @@ class MatrixService:
                     self.admission.release(record.reserved_bytes)
                     if record.state.terminal:
                         record.finished_at = time.time()
-                    # wait() observes the in-memory terminal state, so the
-                    # service may be stopped (and this task cancelled) while
-                    # the persist below is in flight — shield it so the
-                    # on-disk record cannot be left behind at RUNNING.
-                    await asyncio.shield(
-                        loop.run_in_executor(None, self.store.save, record)
-                    )
+                    # The service may be stopped (and this task cancelled)
+                    # while the persist below is in flight — shield it so
+                    # the on-disk record cannot be left behind at RUNNING.
+                    try:
+                        await asyncio.shield(
+                            loop.run_in_executor(None, self.store.save, record)
+                        )
+                    finally:
+                        self._executing.discard(job_id)
+                        self._notify_settled()
                     elapsed = time.monotonic() - started
                     self.observer.metrics.histogram(
                         f"service.latency_seconds.{record.spec.tenant}"
@@ -628,6 +694,7 @@ class MatrixService:
             loop.run_in_executor(None, self.store.save, record)
         )
         self._gauge_queue_depth()
+        self._notify_settled()
 
     def _execute(self, record: JobRecord, cancel: CancelToken) -> np.ndarray:
         """Run one job to completion (called in the executor thread).

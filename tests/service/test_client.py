@@ -8,6 +8,7 @@ faults are produced by purpose-built flaky listeners.
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import socket
 import time
@@ -19,12 +20,16 @@ from repro import (
     CircuitOpenError,
     COOMatrix,
     DeadlineExceededError,
+    FrameTooLargeError,
+    IntegrityError,
     SystemConfig,
     TransportError,
     UnknownMatrixError,
 )
 from repro.resilience.retry import RetryPolicy
+from repro.ioutil import crc32c
 from repro.service import MatrixRegistry, MatrixService, serve
+from repro.service import client as client_module
 from repro.service.client import CircuitBreaker, Deadline, ServiceClient
 
 from ..conftest import random_sparse_array
@@ -266,3 +271,134 @@ class TestTransportResilience:
             client.submit(
                 tenant="t", op="multiply", a="A", b="B", deadline=deadline
             )
+
+
+class TestLongPollWait:
+    def test_wait_on_a_finished_job_is_one_round_trip(self, registry, tmp_path):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            service = MatrixService(registry, job_dir=tmp_path / "jobs")
+            server = await serve(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                with ServiceClient(
+                    "127.0.0.1", port, retry=FAST_RETRY, request_timeout=4.0
+                ) as client:
+                    def drive():
+                        job_id = client.submit(tenant="t", op="multiply", a="A", b="B")
+                        client.wait(job_id, timeout=120.0)
+                        sent = []
+                        exchange = client._exchange
+
+                        def spying(payload, deadline):
+                            sent.append(payload)
+                            return exchange(payload, deadline)
+
+                        client._exchange = spying
+                        status = client.wait(job_id, timeout=120.0)
+                        return status, sent
+                    status, sent = await loop.run_in_executor(None, drive)
+                await service.stop()
+            return status, sent
+
+        status, sent = run(scenario())
+        assert status["state"] == "done"
+        assert len(sent) == 1
+        assert sent[0]["op"] == "wait"
+        assert 0.0 < sent[0]["timeout"] <= 4.0 / 2  # half the socket timeout
+
+
+def result_frame(values: np.ndarray) -> dict:
+    array = np.ascontiguousarray(values, dtype="<f8")
+    return {
+        "shape": list(array.shape),
+        "data": base64.b64encode(array.tobytes()).decode("ascii"),
+        "crc32c": crc32c(array),
+    }
+
+
+def flip_one_byte(payload: dict) -> dict:
+    raw = bytearray(base64.b64decode(payload["data"]))
+    raw[5] ^= 0x01
+    return {**payload, "data": base64.b64encode(bytes(raw)).decode("ascii")}
+
+
+class TestResultFrames:
+    def serve_result(self, payload: dict):
+        """A listener answering one request with one result frame."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+
+            async def handler(reader, writer):
+                await reader.readline()
+                writer.write(json.dumps({"ok": True, "result": payload}).encode() + b"\n")
+                await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(handler, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                with ServiceClient("127.0.0.1", port, retry=FAST_RETRY) as client:
+                    return await loop.run_in_executor(None, client.result, "job")
+
+        return run(scenario())
+
+    def test_intact_frame_decodes_to_a_writable_array(self, rng):
+        values = rng.random((3, 5))
+        decoded = self.serve_result(result_frame(values))
+        assert np.array_equal(decoded, values)
+        assert decoded.dtype == np.float64 and decoded.flags.writeable
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(flip_one_byte, id="flipped-byte"),
+            pytest.param(lambda p: {**p, "data": p["data"][:-4] + "!!!!"}, id="not-base64"),
+            pytest.param(lambda p: {**p, "shape": [2, 5]}, id="wrong-shape"),
+        ],
+    )
+    def test_corrupted_data_raises_integrity_error(self, rng, corrupt):
+        with pytest.raises(IntegrityError):
+            self.serve_result(corrupt(result_frame(rng.random((3, 5)))))
+
+
+class ScriptedSocket:
+    """A socket stand-in whose ``recv`` hands out scripted chunks."""
+
+    def __init__(self, chunks: list[bytes]) -> None:
+        self.chunks = list(chunks)
+        self.recvs = 0
+
+    def recv(self, size: int) -> bytes:
+        assert self.chunks, "recv called with nothing left to deliver"
+        self.recvs += 1
+        return self.chunks.pop(0)
+
+
+class TestReadFrame:
+    def client(self) -> ServiceClient:
+        return ServiceClient("127.0.0.1", 1)  # never dialed
+
+    def test_frame_split_across_many_recvs(self):
+        frame = json.dumps({"ok": True, "blob": "x" * 5000}).encode()
+        wire = frame + b"\n"
+        sock = ScriptedSocket([wire[i:i + 7] for i in range(0, len(wire), 7)])
+        assert self.client()._read_frame(sock) == frame
+        assert sock.recvs == -(-len(wire) // 7)
+
+    def test_pipelined_frames_in_one_recv_stay_buffered(self):
+        sock = ScriptedSocket([b'{"n": 1}\n{"n": 2}\n{"n"'])
+        client = self.client()
+        assert client._read_frame(sock) == b'{"n": 1}'
+        assert client._read_frame(sock) == b'{"n": 2}'  # no recv needed
+        assert sock.recvs == 1
+        sock.chunks.append(b': 3}\n')
+        assert client._read_frame(sock) == b'{"n": 3}'
+        assert client._buffer == b""
+
+    def test_oversized_frame_raises(self, monkeypatch):
+        monkeypatch.setattr(client_module, "MAX_FRAME_BYTES", 64)
+        sock = ScriptedSocket([b"x" * 40] * 4)
+        with pytest.raises(FrameTooLargeError):
+            self.client()._read_frame(sock)

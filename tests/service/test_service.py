@@ -10,6 +10,7 @@ proceed, and the JSON-lines TCP endpoint round-trips the same flows.
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import threading
 
@@ -331,7 +332,9 @@ class TestProtocol:
                 return result["result"], metrics["metrics"], error
 
         payload, metrics, error = run(scenario())
-        values = np.array(payload["values"]).reshape(payload["shape"])
+        values = np.frombuffer(
+            base64.b64decode(payload["data"]), dtype="<f8"
+        ).reshape(payload["shape"])
         expected = dense_of(registry, "A") @ dense_of(registry, "B")
         np.testing.assert_allclose(values, expected, atol=1e-9)
         digest = crc32c(np.ascontiguousarray(values).tobytes())
@@ -363,7 +366,7 @@ class TestProtocol:
         assert not unknown["ok"] and unknown["error"]["type"] == "FormatError"
 
     def test_result_encoded_off_the_event_loop(self, registry, tmp_path, monkeypatch):
-        """The result's float list and JSON are built on an executor thread."""
+        """The result's base64 bytes and JSON are built on an executor thread."""
         threads = []
         build = protocol_module._result_payload
 
@@ -393,7 +396,9 @@ class TestProtocol:
 
         response, loop_thread = run(scenario())
         assert response["ok"], response
-        values = np.array(response["result"]["values"]).reshape(response["result"]["shape"])
+        values = np.frombuffer(
+            base64.b64decode(response["result"]["data"]), dtype="<f8"
+        ).reshape(response["result"]["shape"])
         assert crc32c(values) == response["result"]["crc32c"]
         assert len(threads) == 1
         assert threads[0] != loop_thread
