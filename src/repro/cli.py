@@ -435,6 +435,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
             # request; only then can the server finish closing.
             await service.drain(timeout=args.drain_timeout)
             await server.wait_closed()
+            # The service has stopped its workers; what is left are
+            # connection handlers still closing their sockets.
+            # asyncio.run would cancel them, which Python < 3.12 logs
+            # as "Exception in callback ... CancelledError".
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            if handlers:
+                await asyncio.wait(handlers, timeout=args.drain_timeout)
         print("drained; queued jobs will resume on the next server", flush=True)
 
     asyncio.run(run())

@@ -10,29 +10,31 @@ worker process needs — and deliberately imports no ``multiprocessing``
   shard of their planned ``team_node`` (round-robin tile-row placement,
   exactly the paper's NUMA assignment), so one shard corresponds to one
   simulated socket;
-* :class:`ShardConfig` — the picklable per-run contract shipped to each
-  worker: system config, cost model, retry policy, heartbeat cadence,
+* :class:`ShardConfig` — the per-run contract handed to each worker:
+  system config, cost model, retry policy, heartbeat cadence,
   fault-injection spec and the journal directory;
-* :func:`prepare_run_dir` — serializes the operands (v2 ``.npz``
-  archives), the :class:`~repro.engine.plan.ExecutionPlan` and the
-  :class:`ShardConfig` into the run directory;
-* :func:`worker_main` — the worker entry point: load the run directory,
-  start the heartbeat thread, then serve dispatched pairs until the
-  ``None`` sentinel arrives.
+* :func:`worker_main` — the worker entry point: start the heartbeat
+  thread, then serve dispatched pairs until the ``None`` sentinel
+  arrives.
+
+The plan, the operands and the :class:`ShardConfig` reach a worker as
+its process arguments: a forked worker maps the supervisor's pages and
+copies nothing, and under the spawn start method ``multiprocessing``
+pickles them once per worker (pickle's memo keeps a self-product's
+``at_b is at_a``).  Nothing about them is written to disk.
 
 Worker → supervisor communication is **files only** (heartbeat files,
-per-pair done files, checkpoint journal records), each written with
-:func:`~repro.ioutil.atomic_write_text` — a worker killed mid-write can
-never corrupt shared IPC state the way a SIGKILLed queue writer can.
-The supervisor → worker direction is a queue-like object satisfying
-:class:`TaskSource` (the supervisor passes a ``multiprocessing``
-``SimpleQueue``; tests pass plain stubs).
+per-pair done files, checkpoint journal records), each written
+atomically — a worker killed mid-write can never corrupt shared IPC
+state the way a SIGKILLed queue writer can.  The supervisor → worker
+direction is a queue-like object satisfying :class:`TaskSource` (the
+supervisor passes a ``multiprocessing`` ``SimpleQueue``; tests pass
+plain stubs).
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import threading
 import time
 from pathlib import Path
@@ -42,7 +44,7 @@ from typing import Any, Protocol
 from ..config import SystemConfig
 from ..cost.model import CostModel
 from ..core.atmatrix import ATMatrix
-from ..ioutil import atomic_write_bytes, atomic_write_text
+from ..ioutil import atomic_write_text
 from ..observe import session as observe_session
 from ..resilience import faults
 from ..resilience.checkpoint import CheckpointStore
@@ -58,7 +60,6 @@ __all__ = [
     "assign_shards",
     "done_file",
     "heartbeat_file",
-    "prepare_run_dir",
     "worker_main",
 ]
 
@@ -68,12 +69,6 @@ PairCoords = tuple[int, int]
 #: One dispatched task: the pair plus its 1-based dispatch attempt
 #: (counted by the supervisor across worker deaths and reassignments).
 ShardTask = tuple[PairCoords, int]
-
-_OPERAND_A = "operand-a.npz"
-_OPERAND_B = "operand-b.npz"
-_PLAN = "plan.pkl"
-_SHARD = "shard.pkl"
-
 
 class TaskSource(Protocol):
     """The supervisor → worker half of the dispatch channel."""
@@ -85,7 +80,7 @@ class TaskSource(Protocol):
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """The per-run contract shipped (pickled) to every worker process."""
+    """The per-run contract handed to every worker process."""
 
     config: SystemConfig
     cost_model: CostModel
@@ -98,12 +93,10 @@ class ShardConfig:
     #: rebuildable fault-injection schedule, when the supervising
     #: process had a plan active (``--inject-faults`` parity)
     fault_spec: FaultPlanSpec | None = None
-    #: the B operand is the same object as A (self-product): ship one
-    #: archive and alias it in the worker
-    b_is_a: bool = False
     #: how long a freshly spawned worker may take to post its first
     #: heartbeat before the supervisor declares it stale (spawn
-    #: platforms re-import the world before ``worker_main`` runs)
+    #: platforms re-import the world and unpickle the operands before
+    #: ``worker_main`` runs)
     startup_grace: float = 10.0
 
 
@@ -133,57 +126,6 @@ def heartbeat_file(run_dir: Path, worker_id: int) -> Path:
 
 def done_file(run_dir: Path, coords: PairCoords) -> Path:
     return run_dir / f"done-{coords[0]:05d}-{coords[1]:05d}.json"
-
-
-def prepare_run_dir(
-    run_dir: Path,
-    plan: ExecutionPlan,
-    at_a: ATMatrix,
-    at_b: ATMatrix,
-    shard_config: ShardConfig,
-) -> None:
-    """Serialize everything a worker loads into ``run_dir``.
-
-    Operands travel as v2 ``.npz`` archives (atomic write, per-member
-    CRC-32C — the same end-to-end integrity story as at-rest matrices),
-    the plan and shard config as pickles of frozen dataclasses.
-    """
-    # Imported lazily: repro.formats.serialize itself imports the core
-    # package, whose import chain re-enters this module via the engine.
-    from ..formats.serialize import save_at_matrix
-
-    run_dir.mkdir(parents=True, exist_ok=True)
-    save_at_matrix(at_a, run_dir / _OPERAND_A)
-    if not shard_config.b_is_a:
-        save_at_matrix(at_b, run_dir / _OPERAND_B)
-    atomic_write_bytes(run_dir / _PLAN, pickle.dumps(plan))
-    atomic_write_bytes(run_dir / _SHARD, pickle.dumps(shard_config))
-
-
-def load_shard_config(run_dir: Path) -> ShardConfig:
-    """Just the (small) shard config — cheap enough to read before the
-    heartbeat starts, so liveness covers the expensive operand load."""
-    with open(run_dir / _SHARD, "rb") as handle:
-        config = pickle.load(handle)
-    assert isinstance(config, ShardConfig)
-    return config
-
-
-def load_run_dir(
-    run_dir: Path,
-) -> tuple[ExecutionPlan, ATMatrix, ATMatrix, ShardConfig]:
-    """The worker-side inverse of :func:`prepare_run_dir` (validated)."""
-    from ..formats.serialize import load_at_matrix
-
-    shard_config = load_shard_config(run_dir)
-    with open(run_dir / _PLAN, "rb") as handle:
-        plan = pickle.load(handle)
-    at_a = load_at_matrix(run_dir / _OPERAND_A)
-    at_b = at_a if shard_config.b_is_a else load_at_matrix(run_dir / _OPERAND_B)
-    # The archives round-tripped through disk; replay validation makes a
-    # worker executing against torn or mismatched operands impossible.
-    check_plan_applies(plan, at_a, at_b)
-    return plan, at_a, at_b, shard_config
 
 
 class _Heartbeat:
@@ -256,14 +198,22 @@ def _failure_snapshot(failure: FailureReport) -> tuple[int, int, int, int, int]:
     )
 
 
-def worker_main(worker_id: int, run_dir: str, tasks: TaskSource) -> None:
+def worker_main(
+    worker_id: int,
+    run_dir: str,
+    tasks: TaskSource,
+    plan: ExecutionPlan,
+    at_a: ATMatrix,
+    at_b: ATMatrix,
+    shard_config: ShardConfig,
+) -> None:
     """One supervised worker: serve dispatched pairs until the sentinel.
 
     Lifecycle: reset inherited process-global state (a forked child
-    shares the parent's fault plan and observation objects), start the
-    heartbeat thread (before the expensive operand load, so liveness
-    covers it), load the run directory, install the shipped fault spec,
-    attach to the shared checkpoint journal, then loop::
+    shares the parent's fault plan and observation objects), check the
+    plan against the operands it arrived with, start the heartbeat
+    thread, install the shipped fault spec, attach to the shared
+    checkpoint journal, then loop::
 
         task = tasks.get()            # ((ti, tj), dispatch_attempt)
         fire_worker_crash(...)        # injected SIGKILL, maybe
@@ -280,16 +230,14 @@ def worker_main(worker_id: int, run_dir: str, tasks: TaskSource) -> None:
     directory = Path(run_dir)
     faults.clear_active()
     observe_session.clear()
-    # Heartbeat first: loading the operand archives (CRC-verified) can
-    # take longer than the staleness window on big matrices, and the
-    # supervisor must see a live worker the whole time.
-    shard_config = load_shard_config(directory)
+    # Cheap: planning cached both fingerprints on the operands, and the
+    # cache travels with them (inherited or pickled).
+    check_plan_applies(plan, at_a, at_b)
     heartbeat = _Heartbeat(
         heartbeat_file(directory, worker_id), worker_id,
         shard_config.heartbeat_interval,
     )
     heartbeat.start()
-    plan, at_a, at_b, shard_config = load_run_dir(directory)
     pairs_by_coords: dict[PairCoords, PlannedPair] = {
         (pair.ti, pair.tj): pair for pair in plan.pairs
     }

@@ -12,9 +12,12 @@ cost the whole run (see ``docs/RESILIENCE.md``).  The
 ``<dir>/pairs/pair-<ti>-<tj>.npz``
     One record per completed pair: a JSON meta member (plan
     fingerprint, pair coordinates, tile geometry and kind, CRC-32C of
-    the payload bytes) plus the result-tile payload arrays.  Pairs
-    whose product is all-zero are recorded with ``empty=true`` and no
-    payload so a resume does not re-execute them either.
+    the payload bytes) plus the result-tile payload arrays, stored
+    uncompressed (``np.savez``: deflate saves little on float tiles and
+    costs several times the fsync).  Records written compressed by
+    older versions still load, so their journals resume.  Pairs whose
+    product is all-zero are recorded with ``empty=true`` and no payload
+    so a resume does not re-execute them either.
 
 Every file lands via :func:`~repro.ioutil.atomic_write` (temp file +
 fsync + rename), so a crash leaves either a complete record or no
@@ -242,7 +245,7 @@ class CheckpointStore:
             )
         target = self.directory / _PAIR_DIR / _record_name(*coords)
         with atomic_write(target) as handle:
-            np.savez_compressed(handle, meta=np.array(json.dumps(meta)), **arrays)
+            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
 
     # -- resume ------------------------------------------------------------
     def load_pair(self, coords: PairCoords) -> Tile | None:

@@ -3,9 +3,10 @@
 :func:`run_supervised` is the ``execution="processes"`` backend of
 :func:`~repro.engine.executor.execute_plan`: it shards the planned
 tile pairs across OS worker processes (one shard per simulated socket,
-:func:`~repro.engine.shard.assign_shards`), ships the operands through
-the v2 archive serialization, and supervises the workers with per-worker
-heartbeats, per-pair dispatch deadlines and liveness checks.
+:func:`~repro.engine.shard.assign_shards`), hands each worker the plan
+and operands as its process arguments (inherited under fork, pickled
+under spawn — never written to disk), and supervises the workers with
+per-worker heartbeats, per-pair dispatch deadlines and liveness checks.
 
 This is the **only** module in ``src/repro`` allowed to import
 ``multiprocessing`` (repro-lint rule RPR008): process lifecycle is a
@@ -23,7 +24,9 @@ Worker → supervisor: **files only** — heartbeat files, per-pair done
 files, and the shared checkpoint journal, all atomically written.  A
 worker flushes a pair's journal record durably *before* writing its done
 file, so a result the supervisor adopts can never vanish with its
-worker.
+worker.  The supervisor loads and CRC-checks a pair's record when it
+adopts the done file, while the workers are still computing; the run
+directory holds nothing else.
 
 Failure handling
 ----------------
@@ -193,33 +196,24 @@ def run_supervised(
             heartbeat_interval=heartbeat_interval,
             journal_dir=str(store.directory),
             fault_spec=parent_plan.spec() if parent_plan is not None else None,
-            b_is_a=at_b is at_a,
             startup_grace=startup_grace_seconds,
         )
 
         start = time.perf_counter()
-        done_pairs: dict[PairCoords, dict[str, Any]] = {}
-        quarantined: set[PairCoords] = set()
         if pending:
-            shard.prepare_run_dir(run_dir, plan, at_a, at_b, shard_config)
-            done_pairs, quarantined = _supervise(
-                plan, pending, run_dir, store, shard_config, report, obs,
-                worker_count, pair_deadline_seconds, cancel,
+            completed.update(
+                _supervise(
+                    plan, at_a, at_b, pending, run_dir, store, shard_config,
+                    report, obs, worker_count, pair_deadline_seconds, cancel,
+                )
             )
         report.phase_seconds[PHASE_MULTIPLY] = time.perf_counter() - start
 
-        result_tiles: list[Tile] = []
-        for pair in plan.pairs:
-            coords = (pair.ti, pair.tj)
-            if coords in completed:
-                tile = completed[coords]
-            elif coords in done_pairs and not done_pairs[coords].get("failed"):
-                tile = store.load_pair(coords)
-            else:
-                continue
-            if tile is not None:
-                result_tiles.append(tile)
-
+    result_tiles = [
+        tile
+        for pair in plan.pairs
+        if (tile := completed.get((pair.ti, pair.tj))) is not None
+    ]
     result = _ATMatrix(plan.shape[0], plan.shape[1], config, result_tiles)
     limit = plan.memory_limit_bytes
     if limit is not None:
@@ -246,6 +240,8 @@ def _make_context() -> Any:
 
 def _supervise(
     plan: ExecutionPlan,
+    at_a: ATMatrix,
+    at_b: ATMatrix,
     pending: list[Any],
     run_dir: Path,
     store: CheckpointStore,
@@ -255,8 +251,13 @@ def _supervise(
     worker_count: int,
     pair_deadline_seconds: float | None,
     cancel: CancelToken | None = None,
-) -> tuple[dict[PairCoords, dict[str, Any]], set[PairCoords]]:
-    """The dispatch-and-liveness loop; returns (done, quarantined)."""
+) -> dict[PairCoords, Tile | None]:
+    """The dispatch-and-liveness loop; returns the adopted result tiles.
+
+    Only pairs that completed are in the mapping (``None`` for an
+    all-zero product); failed and quarantined pairs are recorded on
+    ``report.failure`` instead.
+    """
     from ..engine import shard
 
     failure = report.failure
@@ -266,7 +267,8 @@ def _supervise(
     retry_pool: list[PairCoords] = []
     dispatch_counts: dict[PairCoords, int] = {}
     kill_blame: dict[PairCoords, int] = {}
-    done_pairs: dict[PairCoords, dict[str, Any]] = {}
+    done_pairs: set[PairCoords] = set()
+    adopted: dict[PairCoords, Tile | None] = {}
     quarantined: set[PairCoords] = set()
     total = len(pending)
     worker_flushes: dict[int, int] = {}
@@ -281,7 +283,7 @@ def _supervise(
         queue = ctx.SimpleQueue()
         process = ctx.Process(
             target=shard.worker_main,
-            args=(worker_id, str(run_dir), queue),
+            args=(worker_id, str(run_dir), queue, plan, at_a, at_b, shard_config),
             name=f"repro-shard-{worker_id}",
             daemon=True,
         )
@@ -322,7 +324,7 @@ def _supervise(
 
     def adopt_done(worker: _Worker, payload: dict[str, Any]) -> None:
         coords = (int(payload["pair"][0]), int(payload["pair"][1]))
-        done_pairs[coords] = payload
+        done_pairs.add(coords)
         outcome = payload.get("outcome") or {}
         failure.merge_outcome(
             PairOutcome(
@@ -354,6 +356,10 @@ def _supervise(
                 coords, TaskFailedError(str(payload.get("error")), pair=coords)
             )
         else:
+            # The worker flushed this record before writing its done
+            # file; reading it now overlaps the load and CRC check with
+            # the other workers' compute and fsync waits.
+            adopted[coords] = store.load_pair(coords)
             report.products += int(payload.get("products", 0))
             report.pairs_executed += 1
             report.merge_kernel_counts(
@@ -531,4 +537,4 @@ def _supervise(
     store.flush()
     report.conversions = sum(worker_conversions.values())
     report.checkpoint_flushes = sum(worker_flushes.values()) + store.flushes
-    return done_pairs, quarantined
+    return adopted

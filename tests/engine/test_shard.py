@@ -1,15 +1,14 @@
 """Tests for the worker-side shard protocol (no processes involved).
 
 Everything here runs in-process: ``worker_main`` is driven by a stub
-:class:`TaskSource`, so the serialization round-trip, the done-file
-protocol, the journal-before-done ordering and the fault-spec plumbing
-are all exercised without ``multiprocessing``.
+:class:`TaskSource` and handed its plan and operands directly, so the
+done-file protocol, the journal-before-done ordering and the fault-spec
+plumbing are all exercised without ``multiprocessing``.
 """
 
 import json
 import pickle
 
-import numpy as np
 import pytest
 
 from repro import COOMatrix, SystemConfig, build_at_matrix
@@ -20,12 +19,10 @@ from repro.engine.shard import (
     assign_shards,
     done_file,
     heartbeat_file,
-    load_run_dir,
-    prepare_run_dir,
     worker_main,
 )
 from repro.engine.shard import _failure_snapshot, _outcome_delta
-from repro.errors import IntegrityError
+from repro.errors import IntegrityError, PlanMismatchError
 from repro.resilience import FaultPlanSpec, RetryPolicy
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.report import FailureReport, PairOutcome
@@ -77,6 +74,8 @@ class TestAssignShards:
 
 
 class TestRunDirRoundTrip:
+    """What a spawned worker receives must survive a pickle round trip."""
+
     def shard_config(self, tmp_path, **overrides):
         defaults = dict(
             config=CONFIG,
@@ -84,30 +83,9 @@ class TestRunDirRoundTrip:
             resilience=None,
             heartbeat_interval=0.25,
             journal_dir=str(tmp_path / "journal"),
-            b_is_a=True,
         )
         defaults.update(overrides)
         return ShardConfig(**defaults)
-
-    def test_round_trip_preserves_plan_and_operands(self, tmp_path, planned):
-        at, plan = planned
-        prepare_run_dir(tmp_path, plan, at, at, self.shard_config(tmp_path))
-        loaded_plan, at_a, at_b, shard_config = load_run_dir(tmp_path)
-        assert loaded_plan.fingerprint == plan.fingerprint
-        assert at_b is at_a  # b_is_a ships one archive and aliases it
-        np.testing.assert_array_equal(at_a.to_dense(), at.to_dense())
-        assert shard_config.config == CONFIG
-
-    def test_distinct_operands_ship_two_archives(self, tmp_path, rng):
-        at_a = build(heterogeneous_array(rng, 64, 48))
-        at_b = build(heterogeneous_array(rng, 48, 64))
-        plan = build_plan(at_a, at_b, config=CONFIG, cost_model=CostModel())
-        prepare_run_dir(
-            tmp_path, plan, at_a, at_b, self.shard_config(tmp_path, b_is_a=False)
-        )
-        _, loaded_a, loaded_b, _ = load_run_dir(tmp_path)
-        assert loaded_b is not loaded_a
-        np.testing.assert_array_equal(loaded_b.to_dense(), at_b.to_dense())
 
     def test_shard_config_pickles_with_fault_spec(self, tmp_path):
         spec = FaultPlanSpec(
@@ -164,7 +142,7 @@ class _StubSource:
 
 
 class TestWorkerMainInProcess:
-    def run_worker(self, tmp_path, planned, coords_list, **config_overrides):
+    def run_worker(self, tmp_path, planned, coords_list, operand_b=None):
         at, plan = planned
         journal = tmp_path / "journal"
         shard_config = ShardConfig(
@@ -173,14 +151,14 @@ class TestWorkerMainInProcess:
             resilience=None,
             heartbeat_interval=0.05,
             journal_dir=str(journal),
-            b_is_a=True,
-            **config_overrides,
         )
-        prepare_run_dir(tmp_path, plan, at, at, shard_config)
         supervisor_store = CheckpointStore(journal)
         supervisor_store.begin(plan)
         tasks = [(coords, 1) for coords in coords_list]
-        worker_main(0, str(tmp_path), _StubSource(tasks))
+        worker_main(
+            0, str(tmp_path), _StubSource(tasks), plan, at,
+            at if operand_b is None else operand_b, shard_config,
+        )
         return plan, supervisor_store
 
     def test_done_files_and_journal_records_appear(self, tmp_path, planned):
@@ -219,3 +197,12 @@ class TestWorkerMainInProcess:
         )
         with pytest.raises(IntegrityError):
             store.load_pair((99, 99))
+
+    def test_mismatched_operands_are_refused(self, tmp_path, planned, rng):
+        _, plan = planned
+        other = build(rng.uniform(0.1, 1.0, size=(64, 64)))
+        with pytest.raises(PlanMismatchError):
+            self.run_worker(
+                tmp_path, planned, [(plan.pairs[0].ti, plan.pairs[0].tj)],
+                operand_b=other,
+            )

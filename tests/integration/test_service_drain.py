@@ -249,6 +249,36 @@ class TestServeSigtermDrain:
         states = {r.spec.job_id: r.state for r in JobStore(tmp_path / "jobs").load_all()}
         assert states == {"runs": JobState.QUEUED, "waits": JobState.QUEUED}
 
+    def test_sigterm_with_an_idle_client_exits_quietly(self, tmp_path, operands):
+        """No handler is left for ``asyncio.run`` to cancel at exit.
+
+        Cancelling a connection handler that is still closing logs
+        ``Exception in callback ... CancelledError`` on Python < 3.12.
+        """
+        a, b = operands
+        matrices = {"A": tmp_path / "a.mtx", "B": tmp_path / "b.mtx"}
+        write_matrix_market(COOMatrix.from_dense(a), matrices["A"])
+        write_matrix_market(COOMatrix.from_dense(b), matrices["B"])
+        process, port = self.start_serve(
+            tmp_path, matrices, tmp_path / "jobs", drain_timeout=2
+        )
+        try:
+            client = ServiceClient("127.0.0.1", port)
+            assert client.ping()
+        finally:
+            process.send_signal(signal.SIGTERM)
+        try:
+            stdout, stderr = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        client.close()
+        assert process.returncode == 0, stderr
+        assert "drained; queued jobs will resume on the next server" in stdout
+        assert "Traceback" not in stderr, stderr
+        assert "Exception in callback" not in stderr, stderr
+
 
 class TestInProcessDrainCheckpoints:
     def test_drain_reverts_running_job_to_queued_and_resumes(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,35 @@ class TestJournalLifecycle:
         assert second_report.pairs_executed == first_report.pairs_executed
         assert second_report.failure.pairs_resumed == 0
         assert len(pair_records(tmp_path)) == second_report.pairs_executed
+
+
+def member_compression(record: Path) -> set[int]:
+    with zipfile.ZipFile(record) as archive:
+        return {info.compress_type for info in archive.infolist()}
+
+
+class TestRecordFormat:
+    def test_records_are_written_uncompressed(self, workload, small_config, tmp_path):
+        _, _, at_a, at_b = workload
+        run(at_a, at_b, small_config, tmp_path)
+        for record in pair_records(tmp_path):
+            assert member_compression(record) == {zipfile.ZIP_STORED}
+
+    def test_compressed_journal_from_older_versions_resumes(
+        self, workload, small_config, tmp_path
+    ):
+        _, _, at_a, at_b = workload
+        reference, first_report, _ = run(at_a, at_b, small_config, tmp_path)
+        # Rewrite every record the way older versions wrote them.
+        for record in pair_records(tmp_path):
+            with np.load(record, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            np.savez_compressed(record, **arrays)
+            assert member_compression(record) == {zipfile.ZIP_DEFLATED}
+        resumed, report, _ = run(at_a, at_b, small_config, tmp_path, resume=True)
+        assert report.pairs_executed == 0
+        assert report.failure.pairs_resumed == first_report.pairs_executed
+        assert np.array_equal(resumed.to_dense(), reference.to_dense())
 
 
 class TestJournalValidation:

@@ -6,9 +6,14 @@ happy-path contract: bit-identical results, report population,
 checkpoint resume and the thread fallback.
 """
 
+import multiprocessing
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.formats.serialize as serialize
+import repro.resilience.supervisor as supervisor
 from repro import COOMatrix, SystemConfig, SystemTopology, atmult, build_at_matrix
 from repro.core.parallel import parallel_atmult
 from repro.engine import MultiplyOptions
@@ -143,12 +148,69 @@ class TestSupervisedCheckpoint:
         assert resumed_report.pairs_executed == 0
 
 
+class TestOperandHandoff:
+    """Workers get the plan and operands as process arguments, not files."""
+
+    def test_spawned_worker_unpickles_its_arguments(self, rng, monkeypatch):
+        # The only run of the pickled-arguments path: fork platforms
+        # never reach it otherwise.
+        monkeypatch.setattr(
+            supervisor, "_make_context", lambda: multiprocessing.get_context("spawn")
+        )
+        at = build(heterogeneous_array(rng, 48, 48))
+        sequential, _ = atmult(at, at, config=CONFIG)
+        spawned, report = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options(workers=1)
+        )
+        np.testing.assert_array_equal(spawned.to_dense(), sequential.to_dense())
+        assert report.pairs_executed == report.pairs > 0
+
+    def test_forked_run_writes_no_operand_archive_or_pickle(
+        self, rng, monkeypatch
+    ):
+        archives = []
+        real_save = serialize.save_at_matrix
+
+        def spying_save(*args):
+            archives.append(args)
+            real_save(*args)
+
+        monkeypatch.setattr(serialize, "save_at_matrix", spying_save)
+        run_files = []
+        real_supervise = supervisor._supervise
+
+        def listing_supervise(*args):
+            adopted = real_supervise(*args)
+            run_dir = next(arg for arg in args if isinstance(arg, Path))
+            run_files.extend(
+                path.relative_to(run_dir) for path in run_dir.rglob("*")
+            )
+            return adopted
+
+        monkeypatch.setattr(supervisor, "_supervise", listing_supervise)
+        at = build(heterogeneous_array(rng, 64, 64))
+        sequential, _ = atmult(at, at, config=CONFIG)
+        supervised, _ = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options()
+        )
+        np.testing.assert_array_equal(
+            supervised.to_dense(), sequential.to_dense()
+        )
+        assert archives == []
+        assert any(path.parts[0] == "journal" for path in run_files)
+        outside_journal = [
+            path for path in run_files if path.parts[0] != "journal"
+        ]
+        assert outside_journal  # heartbeat files
+        assert not [
+            path for path in outside_journal if path.suffix in (".npz", ".pkl")
+        ]
+
+
 class TestThreadFallback:
     def test_unavailable_platform_falls_back_with_a_warning(
         self, rng, monkeypatch
     ):
-        import repro.resilience.supervisor as supervisor
-
         monkeypatch.setattr(supervisor, "processes_available", lambda: False)
         at = build(heterogeneous_array(rng, 64, 64))
         sequential, _ = atmult(at, at, config=CONFIG)

@@ -404,6 +404,25 @@ class TestProtocol:
         assert threads[0] != loop_thread
 
 
+class TestResultFrame:
+    @pytest.mark.parametrize("shape", [(0,), (1,), (3, 4), (384, 384)])
+    def test_frame_parses_like_the_json_dumps_frame(self, rng, shape):
+        values = rng.standard_normal(shape)
+        frame = protocol_module._result_frame(values)
+        array = np.ascontiguousarray(values, dtype="<f8")
+        dumped = json.dumps({
+            "ok": True,
+            "result": {
+                "shape": list(array.shape),
+                "data": base64.b64encode(array).decode("ascii"),
+                "crc32c": crc32c(array),
+            },
+        }).encode() + b"\n"
+        assert json.loads(frame) == json.loads(dumped)
+        assert frame.count(b"\n") == 1
+        assert frame.endswith(b"\n")
+
+
 class TestObservationRetention:
     JOBS = 6
 
