@@ -33,6 +33,7 @@ from .config import (
 from .core.atmult import atmult
 from .core.builder import ATMatrixBuilder
 from .cost.calibrate import calibrate, describe
+from .engine.options import MultiplyOptions
 from .errors import ConfigError, ReproError
 from .formats.matrix_market import read_matrix_market, write_matrix_market
 from .generate.suite import SUITE, load_matrix
@@ -199,8 +200,6 @@ def cmd_multiply(args: argparse.Namespace) -> int:
         limit = args.memory_limit_mb * 1e6 if args.memory_limit_mb else None
         policy, plan = _resilience_from_args(args)
         context = inject_faults(plan) if plan is not None else nullcontext()
-        from .engine import MultiplyOptions
-
         checkpoint = None
         if args.checkpoint_dir:
             from .resilience.checkpoint import CheckpointStore
@@ -379,7 +378,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import contextlib
     import signal
 
-    from .engine import MultiplyOptions
     from .service import MatrixRegistry, MatrixService
     from .service import serve as serve_endpoint
 
@@ -402,9 +400,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.serve_workers,
         tenant_quota=args.tenant_quota,
         max_queue_depth=args.queue_depth,
-        options=MultiplyOptions(
-            config=config, startup_grace_seconds=args.startup_grace
-        ),
+        options=MultiplyOptions(config=config),
     )
 
     async def run() -> None:
@@ -504,15 +500,17 @@ def build_parser() -> argparse.ArgumentParser:
     multiply.add_argument("--workers", type=int, default=None, metavar="N",
                           help="worker count for --execution (default: the "
                                "simulated topology's socket count)")
-    multiply.add_argument("--heartbeat-interval", type=float, default=0.25,
+    multiply.add_argument("--heartbeat-interval", type=float,
+                          default=MultiplyOptions.heartbeat_interval_seconds,
                           metavar="SECONDS",
                           help="worker heartbeat cadence under "
-                               "--execution=processes (default 0.25)")
-    multiply.add_argument("--startup-grace", type=float, default=10.0,
+                               "--execution=processes (default %(default)s)")
+    multiply.add_argument("--startup-grace", type=float,
+                          default=MultiplyOptions.startup_grace_seconds,
                           metavar="SECONDS",
                           help="grace before a silent worker process counts "
-                               "as dead during startup (default 10; raise on "
-                               "slow spawn-platform imports)")
+                               "as dead during startup (default %(default)s; "
+                               "raise on slow spawn-platform imports)")
     _add_config_arguments(multiply)
     multiply.set_defaults(handler=cmd_multiply)
 
@@ -582,10 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="on SIGTERM, seconds running jobs get to finish "
                             "before being checkpoint-cancelled (default 30)")
-    serve.add_argument("--startup-grace", type=float, default=10.0,
-                       metavar="SECONDS",
-                       help="worker-process startup heartbeat grace for "
-                            "process-backend jobs (default 10)")
     _add_config_arguments(serve)
     serve.set_defaults(handler=cmd_serve)
 

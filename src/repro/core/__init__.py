@@ -6,13 +6,14 @@ from .partition import QuadtreePartitioner, TileSpec
 from .builder import ATMatrixBuilder, BuildReport, build_at_matrix
 from .fixed import fixed_grid_at_matrix
 from .report import BaseReport, MultiplyReport, ParallelReport
-from .atmult import atmult, enforce_memory_limit
+from .atmult import atmult
 from .chain import ChainPlan, ChainReport, multiply_chain, plan_chain
 from .operands import MatrixOperand, as_at_matrix, operand_density_map
 from .retile import align_to_operand, retile, split_tiles_at_cols
 from .arith import add, scale
 from .atmv import PowerIterationResult, atmv, atmv_transposed, power_iteration
 from .parallel import parallel_atmult
+from ..engine.executor import enforce_memory_limit
 
 __all__ = [
     "BaseReport",

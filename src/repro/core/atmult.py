@@ -43,17 +43,15 @@ import logging
 
 from ..config import SystemConfig
 from ..cost.model import CostModel
-from ..engine.api import resolve_plan
+from ..engine.api import _fold_plan_phases, resolve_plan
 from ..engine.cache import PlanCache
 from ..engine.executor import execute_plan
 from ..engine.options import MultiplyOptions, coerce_options
-from ..engine.plan import ExecutionPlan
 from ..errors import ShapeError
-from ..formats.dense import DenseMatrix
 from ..observe import session as observe_session
 from .atmatrix import ATMatrix
 from .operands import MatrixOperand, as_at_matrix, check_operands, operand_density_map
-from .report import BaseReport, MultiplyReport
+from .report import MultiplyReport
 
 # Pre-engine call sites imported these from here; their home is now
 # repro.core.operands.
@@ -61,7 +59,6 @@ __all__ = [
     "MatrixOperand",
     "as_at_matrix",
     "atmult",
-    "enforce_memory_limit",
     "operand_density_map",
 ]
 
@@ -140,6 +137,8 @@ def atmult(
             checkpoint=opts.checkpoint,
             checkpoint_flush_pairs=opts.checkpoint_flush_pairs,
             cancel=opts.cancel,
+            heartbeat_interval=opts.heartbeat_interval_seconds,
+            startup_grace_seconds=opts.startup_grace_seconds,
         )
         assert isinstance(report, MultiplyReport)
         if fresh:
@@ -154,58 +153,3 @@ def atmult(
         "fresh" if fresh else "cached",
     )
     return result, report
-
-
-def _fold_plan_phases(report: BaseReport, plan: ExecutionPlan) -> None:
-    """Attribute a freshly built plan's phase durations to this report.
-
-    Cached replays skip this — their reports show (near) zero estimate
-    and decision time, which is the whole point of plan reuse.
-    """
-    if plan.use_estimation:
-        report.add_phase("estimate", plan.estimate_seconds)
-    report.add_phase("optimize", plan.optimize_seconds)
-
-
-def enforce_memory_limit(result: ATMatrix, memory_limit_bytes: float) -> int:
-    """Demote dense result tiles to CSR until the matrix fits the limit.
-
-    The water-level threshold acts on *estimated* densities, so the
-    materialized result can overshoot the SLA by the estimation error.
-    This repair pass converts dense tiles to sparse in ascending density
-    order (each such conversion shrinks a tile with density < S_d/S_sp)
-    until the limit holds.  Returns the number of demoted tiles; raises
-    :class:`MemoryLimitError` when even the all-sparse layout does not
-    fit.
-    """
-    from ..errors import MemoryLimitError
-    from ..formats.convert import dense_to_csr
-
-    total = result.memory_bytes()
-    if total <= memory_limit_bytes:
-        return 0
-    demotable = sorted(
-        (
-            tile
-            for tile in result.tiles
-            if isinstance(tile.data, DenseMatrix)
-        ),
-        key=lambda tile: tile.density,
-    )
-    demoted = 0
-    for tile in demotable:
-        if total <= memory_limit_bytes:
-            break
-        sparse_payload = dense_to_csr(tile.data)
-        if sparse_payload.memory_bytes() >= tile.memory_bytes():
-            continue  # denser than S_d/S_sp: demotion would not shrink it
-        total += sparse_payload.memory_bytes() - tile.memory_bytes()
-        result.replace_tile(tile, tile.with_payload(sparse_payload))
-        demoted += 1
-    if total > memory_limit_bytes:
-        raise MemoryLimitError(
-            f"result needs {total:.0f} B even all-sparse; limit is "
-            f"{memory_limit_bytes:.0f} B"
-        )
-    return demoted
-

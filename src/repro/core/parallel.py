@@ -50,7 +50,7 @@ import warnings
 
 from ..config import SystemConfig
 from ..cost.model import CostModel
-from ..engine.api import resolve_plan
+from ..engine.api import _fold_plan_phases, resolve_plan
 from ..engine.cache import PlanCache
 from ..engine.executor import execute_plan
 from ..engine.options import MultiplyOptions, coerce_options
@@ -58,7 +58,6 @@ from ..errors import ShapeError
 from ..observe import session as observe_session
 from ..topology.system import SystemTopology
 from .atmatrix import ATMatrix
-from .atmult import _fold_plan_phases
 from .operands import MatrixOperand, as_at_matrix, check_operands
 from .report import ParallelReport
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from ..config import SystemConfig
 from ..core.atmatrix import ATMatrix
 from ..core.operands import MatrixOperand, as_at_matrix, check_operands
-from ..core.report import MultiplyReport
+from ..core.report import BaseReport, MultiplyReport
 from ..cost.model import CostModel
 from ..errors import PlanMismatchError, ShapeError
 from ..observe import Observation
@@ -79,6 +79,17 @@ def resolve_plan(
     if cache is not None and key is not None:
         cache.put(key, built)
     return built, True
+
+
+def _fold_plan_phases(report: BaseReport, plan: ExecutionPlan) -> None:
+    """Attribute a freshly built plan's phase durations to this report.
+
+    Cached replays skip this — their reports show (near) zero estimate
+    and decision time, which is the whole point of plan reuse.
+    """
+    if plan.use_estimation:
+        report.add_phase("estimate", plan.estimate_seconds)
+    report.add_phase("optimize", plan.optimize_seconds)
 
 
 def _setup_key(options: MultiplyOptions, config: SystemConfig, cost_model: CostModel) -> str:
@@ -164,6 +175,8 @@ def execute(
             checkpoint=opts.checkpoint,
             checkpoint_flush_pairs=opts.checkpoint_flush_pairs,
             cancel=opts.cancel,
+            heartbeat_interval=opts.heartbeat_interval_seconds,
+            startup_grace_seconds=opts.startup_grace_seconds,
         )
     assert isinstance(report, MultiplyReport)
     return result, report
@@ -212,7 +225,6 @@ def run_chain(
     :func:`resolve_plan`, and records (and caches) the fused plan.
     Returns ``(result, report, fused_plan)``.
     """
-    from ..core.atmult import _fold_plan_phases
     from ..core.chain import plan_chain
 
     if len(operands) < 2:

@@ -478,44 +478,48 @@ def execute_plan(
     obs: Observation | None = None,
     workers: int = 1,
     execution: str = "sequential",
-    heartbeat_interval: float = 0.25,
+    heartbeat_interval: float,
     pair_deadline_seconds: float | None = None,
     check_fingerprints: bool = True,
     checkpoint: CheckpointStore | None = None,
     checkpoint_flush_pairs: int = 1,
     cancel: CancelToken | None = None,
-    startup_grace_seconds: float = 10.0,
+    startup_grace_seconds: float,
 ) -> tuple[ATMatrix, MultiplyReport | ParallelReport]:
     """Execute a plan against operands of matching topology.
 
     ``execution`` selects the backend (:data:`EXECUTION_MODES`).  The
-    two in-process backends share one pair loop and differ only in who
-    runs each pair:
+    backends differ only in who runs the pending pairs:
 
-    * ``"sequential"`` runs pairs inline on the calling thread, fails
+    * ``"sequential"`` runs them inline on the calling thread, fails
       fast with the pair's own error and returns a
       :class:`MultiplyReport` with per-product phases and task records;
-    * ``"threads"`` dispatches pairs to a ``workers``-sized thread pool
-      (one per simulated socket), aggregates pair errors into one
-      :class:`~repro.errors.TaskFailedError` after the pool drains and
-      returns a :class:`ParallelReport` with per-worker busy time and
-      the pair-loop wall time.
+    * ``"threads"`` dispatches them to a ``workers``-sized thread pool
+      (one per simulated socket) and returns a :class:`ParallelReport`
+      with per-worker busy time and the pair-loop wall time;
+    * ``"processes"`` hands them to
+      :func:`repro.resilience.supervisor.run_supervised` — worker
+      processes with ``heartbeat_interval``-spaced liveness reporting,
+      an optional per-pair dispatch deadline and
+      ``startup_grace_seconds`` for a fresh worker's first heartbeat —
+      and returns a :class:`ParallelReport` that also carries the
+      worker records, deaths and reassignments.
 
-    Either way the result tiles come out in plan pair order.  The
-    process backend hands the whole run to
-    :func:`repro.resilience.supervisor.run_supervised` — worker
-    processes with ``heartbeat_interval``-spaced liveness reporting and
-    an optional per-pair dispatch deadline.  ``at_c`` seeding is
-    sequential-only.
+    Everything around that is shared: the report, checkpoint resume,
+    the aggregated :class:`~repro.errors.TaskFailedError` of the
+    parallel backends (raised after every pair has settled), the
+    result assembled in plan pair order and the memory-SLA repair.
+    ``at_c`` seeding is sequential-only.
 
     With a ``checkpoint`` store, pairs already present in its journal
     are restored instead of re-executed (counted as
     ``failure.pairs_resumed``), and every completed pair is journaled —
-    durably flushed after each ``checkpoint_flush_pairs`` completions —
-    so a killed process resumes from the last flush.  A
-    :class:`KeyboardInterrupt` in any backend flushes the buffered
-    records before propagating, so Ctrl-C costs nothing that was
-    already computed.
+    durably flushed after each ``checkpoint_flush_pairs`` completions
+    (after every pair on the process backend, whose workers report
+    results through the journal) — so a killed process resumes from the
+    last flush.  A :class:`KeyboardInterrupt` in any backend flushes the
+    buffered records before propagating, so Ctrl-C costs nothing that
+    was already computed.
 
     A ``cancel`` token is polled at tile-pair boundaries in every
     backend; when it trips, the run flushes the checkpoint exactly like
@@ -523,9 +527,6 @@ def execute_plan(
     :class:`~repro.errors.OperationCancelledError` (or its
     :class:`~repro.errors.DeadlineExceededError` specialization), so a
     cancelled or deadline-expired multiplication is resumable.
-    ``startup_grace_seconds`` only affects ``execution="processes"``:
-    it bounds how long a fresh worker may take to post its first
-    heartbeat.
     """
     if execution not in EXECUTION_MODES:
         raise ConfigError(
@@ -536,64 +537,23 @@ def execute_plan(
         raise PlanMismatchError("C seeding is not supported in parallel execution")
     if check_fingerprints:
         check_plan_applies(plan, at_a, at_b)
-    if execution == "processes":
-        # Imported lazily: the supervisor reaches back into this module
-        # (through engine.shard) for the worker-side PairComputer.
-        from ..resilience.supervisor import run_supervised
-
-        return run_supervised(
-            plan,
-            at_a,
-            at_b,
-            config=config,
-            cost_model=cost_model,
-            resilience=resilience,
-            obs=obs,
-            workers=workers,
-            heartbeat_interval=heartbeat_interval,
-            pair_deadline_seconds=pair_deadline_seconds,
-            checkpoint=checkpoint,
-            checkpoint_flush_pairs=checkpoint_flush_pairs,
-            cancel=cancel,
-            startup_grace_seconds=startup_grace_seconds,
-        )
 
     report: MultiplyReport | ParallelReport
-    # Worker threads account under this lock; the sequential loop runs
-    # on one thread and takes none.
-    guard: AbstractContextManager[object] = nullcontext()
-    busy_hook: Callable[[float], None] | None = None
-    threaded = execution == "threads"
-    if threaded:
-        lock = threading.Lock()
-        guard = lock
-        report = ParallelReport(pairs=len(plan.pairs), workers=workers, observation=obs)
-        busy_hook = _thread_busy_hook(report, obs, lock)
-        if obs is not None:
-            obs.metrics.gauge("workers").set(workers)
-    else:
+    if execution == "sequential":
         report = MultiplyReport(
             observation=obs,
             write_threshold=plan.write_threshold,
             water_level=plan.water_level,
         )
+    else:
+        report = ParallelReport(
+            pairs=len(plan.pairs), workers=max(1, workers), observation=obs
+        )
+        if obs is not None:
+            obs.metrics.gauge("workers").set(report.workers)
 
-    computer = PairComputer(
-        plan,
-        at_a,
-        at_b,
-        cost_model=cost_model,
-        at_c=at_c,
-        obs=obs,
-        resilience=resilience,
-        record_tasks=not threaded,
-        busy_hook=busy_hook,
-        cancel=cancel,
-    )
-    computer.bind_resilience(config, report.failure)
-
-    # Result tiles by pair index, so both backends (and resumed runs)
-    # assemble the result in plan pair order.
+    # Result tiles by pair index, so every backend (and resumed runs)
+    # assembles the result in plan pair order.
     tiles: list[Tile | None] = [None] * len(plan.pairs)
     completed: dict[tuple[int, int], Tile | None] = (
         checkpoint.begin(plan) if checkpoint is not None else {}
@@ -604,13 +564,41 @@ def execute_plan(
         if coords in completed:
             tiles[index] = completed[coords]
             report.failure.pairs_resumed += 1
-            computer.note_completed(pair, tiles[index])
         else:
             pending.append(index)
-    if computer.runner is None:
-        report.failure.attempts = len(pending)
+
+    # The in-process backends share one PairComputer; worker threads
+    # account under a lock, the sequential loop on one thread takes none.
+    computer: PairComputer | None = None
+    guard: AbstractContextManager[object] = nullcontext()
+    if execution != "processes":
+        busy_hook: Callable[[float], None] | None = None
+        if isinstance(report, ParallelReport):
+            lock = threading.Lock()
+            guard = lock
+            busy_hook = _thread_busy_hook(report, obs, lock)
+        computer = PairComputer(
+            plan,
+            at_a,
+            at_b,
+            cost_model=cost_model,
+            at_c=at_c,
+            obs=obs,
+            resilience=resilience,
+            record_tasks=isinstance(report, MultiplyReport),
+            busy_hook=busy_hook,
+            cancel=cancel,
+        )
+        computer.bind_resilience(config, report.failure)
+        # Only resumed pairs hold a tile yet; they count against the
+        # degradation budget like pairs computed here.
+        for pair, tile in zip(plan.pairs, tiles, strict=True):
+            computer.note_completed(pair, tile)
+        if computer.runner is None:
+            report.failure.attempts = len(pending)
 
     def run(index: int) -> None:
+        assert computer is not None
         pair = plan.pairs[index]
         outcome = computer.run_pair(pair)
         with guard:
@@ -622,13 +610,42 @@ def execute_plan(
             if checkpoint.pending() >= checkpoint_flush_pairs:
                 checkpoint.flush()
 
+    flushes = 0  # the process backend's workers flush the journal too
     start = time.perf_counter()
     try:
         with _span(
             obs, "pair_loop", attrs={"pairs": len(plan.pairs)} if obs else None
         ):
-            if threaded:
-                _run_on_pool(run, pending, workers, plan, report.failure, guard)
+            if computer is None:
+                assert isinstance(report, ParallelReport)
+                # Imported lazily: the supervisor reaches back into this
+                # module (through engine.shard) for the worker-side
+                # PairComputer.
+                from ..resilience.supervisor import run_supervised
+
+                supervised = run_supervised(
+                    plan,
+                    at_a,
+                    at_b,
+                    [plan.pairs[index] for index in pending],
+                    checkpoint,
+                    report=report,
+                    config=config,
+                    cost_model=cost_model,
+                    resilience=resilience,
+                    obs=obs,
+                    heartbeat_interval=heartbeat_interval,
+                    pair_deadline_seconds=pair_deadline_seconds,
+                    cancel=cancel,
+                    startup_grace_seconds=startup_grace_seconds,
+                )
+                for index in pending:
+                    pair = plan.pairs[index]
+                    tiles[index] = supervised.tiles.get((pair.ti, pair.tj))
+                report.conversions = supervised.conversions
+                flushes = supervised.flushes
+            elif isinstance(report, ParallelReport):
+                _run_on_pool(run, pending, report.workers, plan, report.failure, guard)
             else:
                 for index in pending:
                     run(index)
@@ -641,12 +658,14 @@ def execute_plan(
             checkpoint.flush()
             report.checkpoint_flushes = checkpoint.flushes
         raise
-    if threaded:
+    if isinstance(report, ParallelReport):
         report.phase_seconds[PHASE_MULTIPLY] = time.perf_counter() - start
-    report.conversions = computer.conversions.conversions
+    if computer is not None:
+        report.conversions = computer.conversions.conversions
     if checkpoint is not None:
         checkpoint.flush()
-        report.checkpoint_flushes = checkpoint.flushes
+        flushes += checkpoint.flushes
+    report.checkpoint_flushes = flushes
     if report.failure.pair_errors:
         raise TaskFailedError(
             aggregate_message(report.failure.pair_errors, len(plan.pairs)),
@@ -662,8 +681,6 @@ def execute_plan(
     )
     limit = plan.memory_limit_bytes
     if limit is not None and not np.isinf(limit):
-        from ..core.atmult import enforce_memory_limit
-
         start = time.perf_counter()
         with _span(obs, "memory_limit_enforce"):
             enforce_memory_limit(result, limit)
@@ -737,6 +754,46 @@ def _run_on_pool(
         raise
     finally:
         pool.shutdown(wait=True)
+
+
+def enforce_memory_limit(result: ATMatrix, memory_limit_bytes: float) -> int:
+    """Demote dense result tiles to CSR until the matrix fits the limit.
+
+    The water-level threshold acts on *estimated* densities, so the
+    materialized result can overshoot the SLA by the estimation error.
+    This repair pass converts dense tiles to sparse in ascending density
+    order (each such conversion shrinks a tile with density < S_d/S_sp)
+    until the limit holds.  Returns the number of demoted tiles; raises
+    :class:`MemoryLimitError` when even the all-sparse layout does not
+    fit.
+    """
+    total = result.memory_bytes()
+    if total <= memory_limit_bytes:
+        return 0
+    demotable = sorted(
+        (
+            tile
+            for tile in result.tiles
+            if isinstance(tile.data, DenseMatrix)
+        ),
+        key=lambda tile: tile.density,
+    )
+    demoted = 0
+    for tile in demotable:
+        if total <= memory_limit_bytes:
+            break
+        sparse_payload = dense_to_csr(tile.data)
+        if sparse_payload.memory_bytes() >= tile.memory_bytes():
+            continue  # denser than S_d/S_sp: demotion would not shrink it
+        total += sparse_payload.memory_bytes() - tile.memory_bytes()
+        result.replace_tile(tile, tile.with_payload(sparse_payload))
+        demoted += 1
+    if total > memory_limit_bytes:
+        raise MemoryLimitError(
+            f"result needs {total:.0f} B even all-sparse; limit is "
+            f"{memory_limit_bytes:.0f} B"
+        )
+    return demoted
 
 
 @dataclass
@@ -896,8 +953,6 @@ class ChainRun:
         result = ATMatrix(plan.shape[0], plan.shape[1], self.config, tiles)
         limit = plan.memory_limit_bytes
         if limit is not None and not np.isinf(limit):
-            from ..core.atmult import enforce_memory_limit
-
             before = result.memory_bytes()
             start = time.perf_counter()
             with _span(self.obs, "memory_limit_enforce"):

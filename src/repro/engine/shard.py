@@ -93,11 +93,6 @@ class ShardConfig:
     #: rebuildable fault-injection schedule, when the supervising
     #: process had a plan active (``--inject-faults`` parity)
     fault_spec: FaultPlanSpec | None = None
-    #: how long a freshly spawned worker may take to post its first
-    #: heartbeat before the supervisor declares it stale (spawn
-    #: platforms re-import the world and unpickle the operands before
-    #: ``worker_main`` runs)
-    startup_grace: float = 10.0
 
 
 def assign_shards(

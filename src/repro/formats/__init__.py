@@ -13,16 +13,12 @@ from .dense import DenseMatrix
 from .convert import coo_to_csr, coo_to_dense, csr_to_coo, csr_to_dense, dense_to_coo, dense_to_csr
 from .matrix_market import read_matrix_market, write_matrix_market
 from .serialize import load_at_matrix, save_at_matrix
-from .ell import ELLMatrix
-from .bcsr import BCSRMatrix
 from .interop import csr_from_scipy, from_numpy, from_scipy, to_scipy_coo, to_scipy_csr
 
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "DenseMatrix",
-    "ELLMatrix",
-    "BCSRMatrix",
     "coo_to_csr",
     "coo_to_dense",
     "csr_to_coo",

@@ -1,12 +1,16 @@
 """The supervised multiprocess shard executor.
 
-:func:`run_supervised` is the ``execution="processes"`` backend of
-:func:`~repro.engine.executor.execute_plan`: it shards the planned
-tile pairs across OS worker processes (one shard per simulated socket,
+:func:`run_supervised` is who runs the pending tile pairs under
+``execution="processes"`` in
+:func:`~repro.engine.executor.execute_plan`: it shards them across OS
+worker processes (one shard per simulated socket,
 :func:`~repro.engine.shard.assign_shards`), hands each worker the plan
 and operands as its process arguments (inherited under fork, pickled
-under spawn — never written to disk), and supervises the workers with
-per-worker heartbeats, per-pair dispatch deadlines and liveness checks.
+under spawn — never written to disk), supervises the workers with
+per-worker heartbeats, per-pair dispatch deadlines and liveness checks,
+and returns the adopted result tiles.  The report, checkpoint resume,
+the aggregated error, the result matrix and the memory-SLA repair
+belong to the executor, shared with the in-process backends.
 
 This is the **only** module in ``src/repro`` allowed to import
 ``multiprocessing`` (repro-lint rule RPR008): process lifecycle is a
@@ -49,15 +53,15 @@ import json
 import multiprocessing
 import tempfile
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from ..core.report import PHASE_MULTIPLY, ParallelReport
 from ..core.tile import Tile
 from ..errors import OperationCancelledError, TaskFailedError
 from ..observe import Observation
 from ..observe import session as observe_session
-from ..resilience.report import PairOutcome, WorkerRecord, aggregate_message
+from ..resilience.report import PairOutcome, WorkerRecord
 from .cancel import CancelToken
 from .checkpoint import CheckpointStore
 from .faults import active_plan
@@ -66,23 +70,17 @@ from .retry import RetryPolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import SystemConfig
     from ..core.atmatrix import ATMatrix
+    from ..core.report import ParallelReport
     from ..cost.model import CostModel
-    from ..engine.plan import ExecutionPlan
+    from ..engine.plan import ExecutionPlan, PlannedPair
     from ..engine.shard import PairCoords
 
-__all__ = ["processes_available", "run_supervised"]
+__all__ = ["SupervisedRun", "processes_available", "run_supervised"]
 
 _span = observe_session.tracer_span
 
 #: Heartbeats may be late by this factor before a worker counts as hung.
 _HEARTBEAT_GRACE = 5.0
-
-#: Default allowance (seconds) for a worker that has not heartbeat
-#: *yet*: spawn platforms re-import the world before ``worker_main``
-#: runs, and the staleness window alone would bury a slow-starting
-#: worker unborn.  Configurable per run via
-#: ``MultiplyOptions.startup_grace_seconds`` / ``--startup-grace``.
-_STARTUP_GRACE = 10.0
 
 #: A pair that killed its worker this many times is quarantined.
 _QUARANTINE_KILLS = 2
@@ -127,67 +125,70 @@ class _Worker:
         return bool(self.process.is_alive())
 
 
+@dataclass
+class SupervisedRun:
+    """What :func:`run_supervised` hands back to the executor."""
+
+    #: the adopted result tile of every completed pair (``None`` for an
+    #: all-zero product); failed and quarantined pairs are absent
+    tiles: dict[PairCoords, Tile | None]
+    #: journal flushes the workers made
+    flushes: int
+    #: just-in-time input conversions the workers made
+    conversions: int
+
+
 def run_supervised(
     plan: ExecutionPlan,
     at_a: ATMatrix,
     at_b: ATMatrix,
+    pending: list[PlannedPair],
+    checkpoint: CheckpointStore | None,
     *,
+    report: ParallelReport,
     config: SystemConfig,
     cost_model: CostModel,
-    resilience: RetryPolicy | None = None,
-    obs: Observation | None = None,
-    workers: int = 2,
-    heartbeat_interval: float = 0.25,
-    pair_deadline_seconds: float | None = None,
-    checkpoint: CheckpointStore | None = None,
-    checkpoint_flush_pairs: int = 1,
-    cancel: CancelToken | None = None,
-    startup_grace_seconds: float = _STARTUP_GRACE,
-) -> tuple[ATMatrix, ParallelReport]:
-    """Execute ``plan`` on supervised worker processes.
+    resilience: RetryPolicy | None,
+    obs: Observation | None,
+    heartbeat_interval: float,
+    pair_deadline_seconds: float | None,
+    cancel: CancelToken | None,
+    startup_grace_seconds: float,
+) -> SupervisedRun:
+    """Run the ``pending`` pairs of ``plan`` on supervised worker processes.
 
-    Returns the same ``(ATMatrix, ParallelReport)`` shape as the thread
-    backend; ``report.failure`` additionally carries ``worker_deaths``,
-    ``pairs_reassigned``, ``pairs_quarantined`` and per-worker
-    :class:`~repro.resilience.report.WorkerRecord` entries.
+    :func:`~repro.engine.executor.execute_plan` owns everything before
+    and after: it begins ``checkpoint`` (a store already begun on
+    ``plan``, or ``None``), resumes, flushes it, assembles the result
+    and raises the aggregated error.  This function accounts each pair
+    on ``report`` as it settles — per-pair outcomes, errors, busy time,
+    kernel counts, and the ``worker_deaths``, ``pairs_reassigned``,
+    ``pairs_quarantined`` and per-worker
+    :class:`~repro.resilience.report.WorkerRecord` entries of
+    ``report.failure`` — running ``report.workers`` workers at a time.
 
-    ``checkpoint_flush_pairs`` is accepted for interface parity but the
-    journal is flushed after *every* pair here: the journal doubles as
-    the worker → supervisor result channel, so durability per pair is
-    what makes a worker death lose nothing.
+    The journal is the worker → supervisor result channel, so workers
+    flush it after *every* pair, whatever the caller's flush cadence;
+    without a caller ``checkpoint`` a temporary journal serves.
 
     A tripped ``cancel`` token is observed at the dispatch loop's poll
-    cadence: workers are killed, the journal is flushed (already
-    per-pair durable) and the run unwinds with
+    cadence: workers are killed and the run unwinds with
     :class:`~repro.errors.OperationCancelledError`, leaving every
     adopted pair resumable.  ``startup_grace_seconds`` bounds how long
     a fresh worker may take to post its first heartbeat.
     """
-    del checkpoint_flush_pairs  # journal-as-IPC forces per-pair flushes
     # Imported here, not at module top: engine.shard pulls in the
     # executor, which lazily imports this module for mode dispatch.
-    from ..core.atmatrix import ATMatrix as _ATMatrix
     from ..engine import shard
 
-    worker_count = max(1, int(workers))
-    report = ParallelReport(workers=worker_count, observation=obs)
-    failure = report.failure
-    if obs is not None:
-        obs.metrics.gauge("workers").set(worker_count)
-    report.pairs = len(plan.pairs)
-
+    if not pending:
+        return SupervisedRun({}, 0, 0)
     with tempfile.TemporaryDirectory(prefix="repro-shard-") as tmp:
         run_dir = Path(tmp)
-        store = checkpoint if checkpoint is not None else CheckpointStore(
-            run_dir / "journal"
-        )
-        completed: dict[PairCoords, Tile | None] = store.begin(plan)
-        for coords in completed:
-            failure.pairs_resumed += 1
-        pending: list[Any] = [
-            pair for pair in plan.pairs if (pair.ti, pair.tj) not in completed
-        ]
-
+        store = checkpoint
+        if store is None:
+            store = CheckpointStore(run_dir / "journal")
+            store.begin(plan)
         parent_plan = active_plan()
         shard_config = shard.ShardConfig(
             config=config,
@@ -196,40 +197,11 @@ def run_supervised(
             heartbeat_interval=heartbeat_interval,
             journal_dir=str(store.directory),
             fault_spec=parent_plan.spec() if parent_plan is not None else None,
-            startup_grace=startup_grace_seconds,
         )
-
-        start = time.perf_counter()
-        if pending:
-            completed.update(
-                _supervise(
-                    plan, at_a, at_b, pending, run_dir, store, shard_config,
-                    report, obs, worker_count, pair_deadline_seconds, cancel,
-                )
-            )
-        report.phase_seconds[PHASE_MULTIPLY] = time.perf_counter() - start
-
-    result_tiles = [
-        tile
-        for pair in plan.pairs
-        if (tile := completed.get((pair.ti, pair.tj))) is not None
-    ]
-    result = _ATMatrix(plan.shape[0], plan.shape[1], config, result_tiles)
-    limit = plan.memory_limit_bytes
-    if limit is not None:
-        from ..core.atmult import enforce_memory_limit
-
-        enforce_start = time.perf_counter()
-        with _span(obs, "memory_limit_enforce"):
-            enforce_memory_limit(result, limit)
-        report.add_phase("optimize", time.perf_counter() - enforce_start)
-    if failure.pair_errors:
-        raise TaskFailedError(
-            aggregate_message(failure.pair_errors, len(plan.pairs)),
-            pair_errors=failure.pair_errors,
-            report=report,
+        return _supervise(
+            plan, at_a, at_b, pending, run_dir, store, shard_config, report,
+            obs, pair_deadline_seconds, startup_grace_seconds, cancel,
         )
-    return result, report
 
 
 def _make_context() -> Any:
@@ -242,25 +214,21 @@ def _supervise(
     plan: ExecutionPlan,
     at_a: ATMatrix,
     at_b: ATMatrix,
-    pending: list[Any],
+    pending: list[PlannedPair],
     run_dir: Path,
     store: CheckpointStore,
     shard_config: Any,
     report: ParallelReport,
     obs: Observation | None,
-    worker_count: int,
     pair_deadline_seconds: float | None,
-    cancel: CancelToken | None = None,
-) -> dict[PairCoords, Tile | None]:
-    """The dispatch-and-liveness loop; returns the adopted result tiles.
-
-    Only pairs that completed are in the mapping (``None`` for an
-    all-zero product); failed and quarantined pairs are recorded on
-    ``report.failure`` instead.
-    """
+    startup_grace_seconds: float,
+    cancel: CancelToken | None,
+) -> SupervisedRun:
+    """The dispatch-and-liveness loop behind :func:`run_supervised`."""
     from ..engine import shard
 
     failure = report.failure
+    worker_count = report.workers
     ctx = _make_context()
     shards = shard.assign_shards(pending, worker_count)
     #: pairs killed back into the pool by a worker death, dispatched first
@@ -402,7 +370,7 @@ def _supervise(
         )
         if worker.last_beat == 0:
             # No first beat yet: the worker is still importing/starting.
-            stale_after = max(stale_after, shard_config.startup_grace)
+            stale_after = max(stale_after, startup_grace_seconds)
         return time.monotonic() - worker.last_beat_change <= stale_after
 
     def bury(worker: _Worker, cause: str) -> None:
@@ -519,8 +487,6 @@ def _supervise(
             worker.process.kill()
         for worker in workers.values():
             worker.process.join(timeout=5.0)
-        store.flush()
-        report.checkpoint_flushes = sum(worker_flushes.values()) + store.flushes
         raise
     finally:
         for worker in workers.values():
@@ -534,7 +500,6 @@ def _supervise(
                 worker.process.kill()
                 worker.process.join(timeout=5.0)
 
-    store.flush()
-    report.conversions = sum(worker_conversions.values())
-    report.checkpoint_flushes = sum(worker_flushes.values()) + store.flushes
-    return adopted
+    return SupervisedRun(
+        adopted, sum(worker_flushes.values()), sum(worker_conversions.values())
+    )

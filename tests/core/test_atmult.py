@@ -178,7 +178,7 @@ class TestMemoryLimit:
             np.testing.assert_allclose(result.to_dense(), a @ b, atol=1e-10)
 
     def test_enforce_memory_limit_demotes_sparsest_first(self, workload, small_config):
-        from repro.core.atmult import enforce_memory_limit
+        from repro.engine.executor import enforce_memory_limit
 
         _, _, at_a, at_b = workload
         result, _ = atmult(at_a, at_b, config=small_config)

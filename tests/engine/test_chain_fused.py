@@ -158,14 +158,14 @@ class TestPerHopParity:
         else:
             operands = sparse_chain(rng, [64, 48, 80, 32, 40])
         demotions: list[int] = []
-        atmult_module = importlib.import_module("repro.core.atmult")
-        enforce = atmult_module.enforce_memory_limit
+        executor_module = importlib.import_module("repro.engine.executor")
+        enforce = executor_module.enforce_memory_limit
 
         def counting_enforce(result, limit):
             demotions.append(enforce(result, limit))
             return demotions[-1]
 
-        monkeypatch.setattr(atmult_module, "enforce_memory_limit", counting_enforce)
+        monkeypatch.setattr(executor_module, "enforce_memory_limit", counting_enforce)
         faults = FaultPlan(11, kernel_error_rate=0.05 if name == "retry" else 0.0)
         cached = options.replace(plan_cache=PlanCache())
         with inject_faults(faults):

@@ -7,16 +7,20 @@ checkpoint resume and the thread fallback.
 """
 
 import multiprocessing
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.engine.executor as executor
 import repro.formats.serialize as serialize
 import repro.resilience.supervisor as supervisor
 from repro import COOMatrix, SystemConfig, SystemTopology, atmult, build_at_matrix
 from repro.core.parallel import parallel_atmult
 from repro.engine import MultiplyOptions
+from repro.errors import TaskFailedError
+from repro.resilience import FaultPlan, inject_faults
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.report import WorkerRecord
 from repro.resilience.supervisor import processes_available
@@ -127,6 +131,80 @@ class TestSupervisedReport:
             supervised.to_dense(), sequential.to_dense()
         )
         assert report.failure.worker_deaths == 0
+
+    def test_pair_deadline_kills_a_stalled_worker(self):
+        # One pair whose every execution stalls far past the deadline:
+        # the supervisor must kill its worker rather than wait out the
+        # stall, twice, and then quarantine the pair.
+        at = build(np.random.default_rng(3).random((16, 16)))
+        stall_seconds = 30.0
+        start = time.monotonic()
+        with inject_faults(FaultPlan(0, stall_rate=1.0, stall_seconds=stall_seconds)):
+            with pytest.raises(TaskFailedError, match=r"\(0, 0\)") as caught:
+                parallel_atmult(
+                    at, at, topology=TOPOLOGY,
+                    options=process_options(workers=1, pair_deadline_seconds=0.5),
+                )
+        elapsed = time.monotonic() - start
+        report = caught.value.report
+        failure = report.failure
+        assert report.pairs == 1
+        assert failure.worker_deaths == 2
+        assert failure.pairs_quarantined == 1
+        assert [coords for coords, _ in failure.pair_errors] == [(0, 0)]
+        assert len(failure.workers) == 2
+        for record in failure.workers.values():
+            assert record.died
+            assert "dispatch deadline" in record.cause
+        assert elapsed < stall_seconds / 2
+
+
+class TestSupervisedMemoryLimit:
+    def test_demotion_matches_the_thread_backend(self, monkeypatch):
+        # Two rank-2 stripes whose outer product density propagation
+        # underestimates: the dense result overshoots a 13.5 kB limit
+        # and the end-of-run repair has to demote a tile.
+        rng = np.random.default_rng(0)
+        a = np.zeros((48, 48))
+        b = np.zeros((48, 48))
+        for j in range(2):
+            a[:24, j] = np.where(rng.random(24) < 0.8, rng.random(24), 0.0)
+            b[j, :24] = np.where(rng.random(24) < 0.8, rng.random(24), 0.0)
+        for x in (a, b):
+            x[24:, 24:] = np.where(
+                rng.random((24, 24)) < 0.12, rng.random((24, 24)), 0.0
+            )
+        at_a, at_b = build(a), build(b)
+        limit = 13_500.0
+        demotions: dict[str, list[int]] = {"threads": [], "processes": []}
+        enforce = executor.enforce_memory_limit
+        backend = ["threads"]
+
+        def counting_enforce(result, memory_limit_bytes):
+            demotions[backend[0]].append(enforce(result, memory_limit_bytes))
+            return demotions[backend[0]][-1]
+
+        monkeypatch.setattr(executor, "enforce_memory_limit", counting_enforce)
+        threaded, _ = parallel_atmult(
+            at_a, at_b, topology=TOPOLOGY,
+            options=MultiplyOptions(
+                config=CONFIG, execution="threads", memory_limit_bytes=limit
+            ),
+        )
+        backend[0] = "processes"
+        supervised, _ = parallel_atmult(
+            at_a, at_b, topology=TOPOLOGY,
+            options=process_options(memory_limit_bytes=limit),
+        )
+        assert demotions["threads"][0] >= 1
+        assert demotions["processes"] == demotions["threads"]
+        assert supervised.memory_bytes() <= limit
+        assert [tile.kind for tile in supervised.tiles] == [
+            tile.kind for tile in threaded.tiles
+        ]
+        np.testing.assert_array_equal(
+            supervised.to_dense(), threaded.to_dense()
+        )
 
 
 class TestSupervisedCheckpoint:
