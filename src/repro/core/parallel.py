@@ -16,8 +16,6 @@ selected by ``MultiplyOptions.execution``:
 * ``"processes"`` — the supervised multiprocess shard executor
   (:mod:`repro.resilience.supervisor`): one OS process per simulated
   socket, heartbeat liveness, crash detection and pair reassignment.
-  Falls back to threads (with a :class:`RuntimeWarning`) when the
-  platform cannot run ``multiprocessing``.
 
 Two facts make this sound in Python:
 
@@ -45,8 +43,6 @@ which is the paper's Fig. 9 execution picture as a timeline.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from ..config import SystemConfig
 from ..cost.model import CostModel
@@ -97,20 +93,6 @@ def parallel_atmult(
     resolved_config = opts.resolved_config()
     resolved_model = opts.resolved_cost_model()
     worker_count = opts.workers if opts.workers is not None else topology.sockets
-    execution = opts.execution
-    if execution == "processes":
-        # The supervisor is the only module allowed to know whether the
-        # platform can run it; degrade to the thread backend otherwise.
-        from ..resilience.supervisor import processes_available
-
-        if not processes_available():  # pragma: no cover - platform-specific
-            warnings.warn(
-                "multiprocessing is unavailable on this platform; "
-                "execution='processes' falls back to threads",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            execution = "threads"
     with observe_session.resolve(opts.observer) as obs:
         at_a = as_at_matrix(a, resolved_config)
         at_b = as_at_matrix(b, resolved_config)
@@ -131,7 +113,7 @@ def parallel_atmult(
             resilience=opts.resilience,
             obs=obs,
             workers=worker_count,
-            execution=execution,
+            execution=opts.execution,
             heartbeat_interval=opts.heartbeat_interval_seconds,
             pair_deadline_seconds=opts.pair_deadline_seconds,
             check_fingerprints=False,  # resolve_plan keyed/built on these operands

@@ -513,10 +513,9 @@ def execute_plan(
 
     With a ``checkpoint`` store, pairs already present in its journal
     are restored instead of re-executed (counted as
-    ``failure.pairs_resumed``), and every completed pair is journaled —
-    durably flushed after each ``checkpoint_flush_pairs`` completions
-    (after every pair on the process backend, whose workers report
-    results through the journal) — so a killed process resumes from the
+    ``failure.pairs_resumed``), and every completed pair is journaled by
+    this process — durably flushed after each ``checkpoint_flush_pairs``
+    completions on every backend — so a killed process resumes from the
     last flush.  A :class:`KeyboardInterrupt` in any backend flushes the
     buffered records before propagating, so Ctrl-C costs nothing that
     was already computed.
@@ -597,20 +596,24 @@ def execute_plan(
         if computer.runner is None:
             report.failure.attempts = len(pending)
 
+    def settle(index: int, tile: Tile | None) -> None:
+        """Keep one completed pair's tile and journal it."""
+        tiles[index] = tile
+        if checkpoint is not None:
+            pair = plan.pairs[index]
+            checkpoint.record((pair.ti, pair.tj), tile)
+            if checkpoint.pending() >= checkpoint_flush_pairs:
+                checkpoint.flush()
+
     def run(index: int) -> None:
         assert computer is not None
         pair = plan.pairs[index]
         outcome = computer.run_pair(pair)
         with guard:
             _account(report, outcome.stats)
-        tiles[index] = outcome.tile
         computer.note_completed(pair, outcome.tile)
-        if checkpoint is not None:
-            checkpoint.record((pair.ti, pair.tj), outcome.tile)
-            if checkpoint.pending() >= checkpoint_flush_pairs:
-                checkpoint.flush()
+        settle(index, outcome.tile)
 
-    flushes = 0  # the process backend's workers flush the journal too
     start = time.perf_counter()
     try:
         with _span(
@@ -623,12 +626,16 @@ def execute_plan(
                 # PairComputer.
                 from ..resilience.supervisor import run_supervised
 
-                supervised = run_supervised(
+                index_of = {
+                    (plan.pairs[index].ti, plan.pairs[index].tj): index
+                    for index in pending
+                }
+                run_supervised(
                     plan,
                     at_a,
                     at_b,
                     [plan.pairs[index] for index in pending],
-                    checkpoint,
+                    lambda coords, tile: settle(index_of[coords], tile),
                     report=report,
                     config=config,
                     cost_model=cost_model,
@@ -639,11 +646,6 @@ def execute_plan(
                     cancel=cancel,
                     startup_grace_seconds=startup_grace_seconds,
                 )
-                for index in pending:
-                    pair = plan.pairs[index]
-                    tiles[index] = supervised.tiles.get((pair.ti, pair.tj))
-                report.conversions = supervised.conversions
-                flushes = supervised.flushes
             elif isinstance(report, ParallelReport):
                 _run_on_pool(run, pending, report.workers, plan, report.failure, guard)
             else:
@@ -664,8 +666,7 @@ def execute_plan(
         report.conversions = computer.conversions.conversions
     if checkpoint is not None:
         checkpoint.flush()
-        flushes += checkpoint.flushes
-    report.checkpoint_flushes = flushes
+        report.checkpoint_flushes = checkpoint.flushes
     if report.failure.pair_errors:
         raise TaskFailedError(
             aggregate_message(report.failure.pair_errors, len(plan.pairs)),

@@ -11,8 +11,8 @@ worker process needs — and deliberately imports no ``multiprocessing``
   exactly the paper's NUMA assignment), so one shard corresponds to one
   simulated socket;
 * :class:`ShardConfig` — the per-run contract handed to each worker:
-  system config, cost model, retry policy, heartbeat cadence,
-  fault-injection spec and the journal directory;
+  system config, cost model, retry policy, heartbeat cadence and
+  fault-injection spec;
 * :func:`worker_main` — the worker entry point: start the heartbeat
   thread, then serve dispatched pairs until the ``None`` sentinel
   arrives.
@@ -21,33 +21,32 @@ The plan, the operands and the :class:`ShardConfig` reach a worker as
 its process arguments: a forked worker maps the supervisor's pages and
 copies nothing, and under the spawn start method ``multiprocessing``
 pickles them once per worker (pickle's memo keeps a self-product's
-``at_b is at_a``).  Nothing about them is written to disk.
+``at_b is at_a``).
 
-Worker → supervisor communication is **files only** (heartbeat files,
-per-pair done files, checkpoint journal records), each written
-atomically — a worker killed mid-write can never corrupt shared IPC
-state the way a SIGKILLed queue writer can.  The supervisor → worker
-direction is a queue-like object satisfying :class:`TaskSource` (the
-supervisor passes a ``multiprocessing`` ``SimpleQueue``; tests pass
-plain stubs).
+Each worker talks to the supervisor over one duplex :class:`Channel`
+that only it and the supervisor hold (a ``multiprocessing`` ``Pipe``;
+tests pass plain stubs).  The supervisor sends ``((ti, tj),
+dispatch_attempt)`` tasks and the ``None`` sentinel; the worker sends
+``("beat", n)`` heartbeats from its heartbeat thread and one
+``("done", payload, tile)`` message per pair from its main thread, both
+under one send lock.  A worker killed mid-send leaves a truncated
+message on its own channel only, which the supervisor reads as the
+end of that worker.  The worker writes no file: results, statistics
+and fault events all travel in the done message.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import time
-from pathlib import Path
 from dataclasses import dataclass
 from typing import Any, Protocol
 
 from ..config import SystemConfig
 from ..cost.model import CostModel
 from ..core.atmatrix import ATMatrix
-from ..ioutil import atomic_write_text
+from ..core.tile import Tile
 from ..observe import session as observe_session
 from ..resilience import faults
-from ..resilience.checkpoint import CheckpointStore
 from ..resilience.faults import FaultPlanSpec, fire_worker_crash
 from ..resilience.report import FailureReport
 from ..resilience.retry import RetryPolicy
@@ -55,11 +54,9 @@ from .executor import PairComputer, check_plan_applies
 from .plan import ExecutionPlan, PlannedPair
 
 __all__ = [
+    "Channel",
     "ShardConfig",
-    "TaskSource",
     "assign_shards",
-    "done_file",
-    "heartbeat_file",
     "worker_main",
 ]
 
@@ -70,11 +67,15 @@ PairCoords = tuple[int, int]
 #: (counted by the supervisor across worker deaths and reassignments).
 ShardTask = tuple[PairCoords, int]
 
-class TaskSource(Protocol):
-    """The supervisor → worker half of the dispatch channel."""
+class Channel(Protocol):
+    """A worker's end of its duplex supervisor channel."""
 
-    def get(self) -> ShardTask | None:  # pragma: no cover - protocol
+    def recv(self) -> ShardTask | None:  # pragma: no cover - protocol
         """Block until the next task (or the ``None`` shutdown sentinel)."""
+        ...
+
+    def send(self, message: Any) -> None:  # pragma: no cover - protocol
+        """Send one heartbeat or done message to the supervisor."""
         ...
 
 
@@ -85,11 +86,8 @@ class ShardConfig:
     config: SystemConfig
     cost_model: CostModel
     resilience: RetryPolicy | None
-    #: seconds between heartbeat-file updates
+    #: seconds between heartbeat messages
     heartbeat_interval: float
-    #: directory the checkpoint journal lives in (shared with the
-    #: supervisor; workers :meth:`~CheckpointStore.attach`, never begin)
-    journal_dir: str
     #: rebuildable fault-injection schedule, when the supervising
     #: process had a plan active (``--inject-faults`` parity)
     fault_spec: FaultPlanSpec | None = None
@@ -115,51 +113,39 @@ def assign_shards(
     return shards
 
 
-def heartbeat_file(run_dir: Path, worker_id: int) -> Path:
-    return run_dir / f"hb-{worker_id:03d}.json"
-
-
-def done_file(run_dir: Path, coords: PairCoords) -> Path:
-    return run_dir / f"done-{coords[0]:05d}-{coords[1]:05d}.json"
-
-
 class _Heartbeat:
-    """A daemon thread writing this worker's liveness file."""
+    """A daemon thread sending ``("beat", n)`` on this worker's channel."""
 
-    def __init__(self, path: Path, worker_id: int, interval: float) -> None:
-        self._path = path
-        self._worker_id = worker_id
+    def __init__(
+        self, channel: Channel, send_lock: threading.Lock, interval: float
+    ) -> None:
+        self._channel = channel
+        self._send_lock = send_lock
         self._interval = max(interval, 0.01)
         self._stop = threading.Event()
         self._beats = 0
         self._thread = threading.Thread(
-            target=self._run, name=f"heartbeat-{worker_id}", daemon=True
+            target=self._run, name="heartbeat", daemon=True
         )
 
     def start(self) -> None:
-        self._write()
+        self._send()
         self._thread.start()
 
     def stop(self) -> None:
         self._stop.set()
+        self._thread.join()
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
-            self._write()
+            self._send()
 
-    def _write(self) -> None:
-        import os
-
+    def _send(self) -> None:
         # Single-writer: only the heartbeat thread itself increments,
-        # after start() has already published the first beat.
+        # after start() has already sent the first beat.
         self._beats += 1  # repro-lint: disable=RPR012
-        payload = {
-            "worker": self._worker_id,
-            "pid": os.getpid(),
-            "beat": self._beats,
-            "time": time.time(),
-        }
-        atomic_write_text(self._path, json.dumps(payload))
+        with self._send_lock:
+            self._channel.send(("beat", self._beats))
 
 
 def _outcome_delta(
@@ -195,8 +181,7 @@ def _failure_snapshot(failure: FailureReport) -> tuple[int, int, int, int, int]:
 
 def worker_main(
     worker_id: int,
-    run_dir: str,
-    tasks: TaskSource,
+    channel: Channel,
     plan: ExecutionPlan,
     at_a: ATMatrix,
     at_b: ATMatrix,
@@ -207,31 +192,25 @@ def worker_main(
     Lifecycle: reset inherited process-global state (a forked child
     shares the parent's fault plan and observation objects), check the
     plan against the operands it arrived with, start the heartbeat
-    thread, install the shipped fault spec, attach to the shared
-    checkpoint journal, then loop::
+    thread, install the shipped fault spec, then loop::
 
-        task = tasks.get()            # ((ti, tj), dispatch_attempt)
+        task = channel.recv()         # ((ti, tj), dispatch_attempt)
         fire_worker_crash(...)        # injected SIGKILL, maybe
         outcome = computer.run_pair(pair)
-        store.record + store.flush    # durable before "done"
-        write done-<ti>-<tj>.json     # stats + resilience outcome
+        channel.send(("done", payload, tile))   # stats, outcome, events
 
-    Every completed pair is flushed *before* its done file appears, so
-    the supervisor never trusts a result that could vanish with the
-    worker.  Failures never escape: an exhausted retry budget (or any
-    unexpected exception) becomes a ``failed`` done file and the worker
-    moves on — dying is reserved for injected crashes and real ones.
+    Failures never escape: an exhausted retry budget (or any unexpected
+    exception) becomes a ``failed`` done message with no tile and the
+    worker moves on — dying is reserved for injected crashes and real
+    ones.
     """
-    directory = Path(run_dir)
     faults.clear_active()
     observe_session.clear()
     # Cheap: planning cached both fingerprints on the operands, and the
     # cache travels with them (inherited or pickled).
     check_plan_applies(plan, at_a, at_b)
-    heartbeat = _Heartbeat(
-        heartbeat_file(directory, worker_id), worker_id,
-        shard_config.heartbeat_interval,
-    )
+    send_lock = threading.Lock()
+    heartbeat = _Heartbeat(channel, send_lock, shard_config.heartbeat_interval)
     heartbeat.start()
     pairs_by_coords: dict[PairCoords, PlannedPair] = {
         (pair.ti, pair.tj): pair for pair in plan.pairs
@@ -240,9 +219,6 @@ def worker_main(
     fault_plan = (
         shard_config.fault_spec.build() if shard_config.fault_spec is not None else None
     )
-    store = CheckpointStore(shard_config.journal_dir)
-    store.attach(plan.fingerprint)
-
     failure = FailureReport()
     busy_cell = [0.0]
 
@@ -271,7 +247,7 @@ def worker_main(
 
     def serve() -> None:
         while True:
-            task = tasks.get()
+            task = channel.recv()
             if task is None:
                 return
             coords, dispatch_attempt = task
@@ -281,36 +257,30 @@ def worker_main(
             busy_before = busy_cell[0]
             payload: dict[str, Any] = {
                 "worker": worker_id,
-                "pair": list(coords),
+                "pair": coords,
                 "dispatch_attempt": dispatch_attempt,
             }
+            tile: Tile | None = None
             try:
                 outcome = computer.run_pair(pair)
             except Exception as error:  # noqa: BLE001 — shipped to the supervisor
-                payload.update(
-                    failed=True,
-                    error=repr(error),
-                    outcome=_outcome_delta(failure, before, coords),
-                    busy_seconds=busy_cell[0] - busy_before,
-                    conversions=computer.conversions.conversions,
-                    flushes=store.flushes,
-                    events=new_events(),
-                )
+                payload.update(failed=True, error=repr(error))
             else:
-                store.record(coords, outcome.tile)
-                store.flush()
+                tile = outcome.tile
                 payload.update(
                     failed=False,
                     error=None,
                     products=outcome.stats.products,
                     kernel_counts=outcome.stats.kernel_counts,
-                    outcome=_outcome_delta(failure, before, coords),
-                    busy_seconds=busy_cell[0] - busy_before,
-                    conversions=computer.conversions.conversions,
-                    flushes=store.flushes,
-                    events=new_events(),
                 )
-            atomic_write_text(done_file(directory, coords), json.dumps(payload))
+            payload.update(
+                outcome=_outcome_delta(failure, before, coords),
+                busy_seconds=busy_cell[0] - busy_before,
+                conversions=computer.conversions.conversions,
+                events=new_events(),
+            )
+            with send_lock:
+                channel.send(("done", payload, tile))
 
     try:
         if fault_plan is not None:

@@ -201,12 +201,6 @@ def atomic_write(
         raise
 
 
-def atomic_write_bytes(target: str | Path, data: bytes) -> None:
-    """Atomically replace ``target`` with ``data``."""
-    with atomic_write(target, mode="wb") as handle:
-        handle.write(data)
-
-
 def atomic_write_text(
     target: str | Path, text: str, *, encoding: str = "utf-8"
 ) -> None:

@@ -163,20 +163,6 @@ class CheckpointStore:
         atomic_write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
         return completed
 
-    def attach(self, fingerprint: str) -> None:
-        """Bind to an already-begun journal without touching its content.
-
-        Supervised worker processes share one journal directory with the
-        supervisor, which alone runs :meth:`begin` (manifest, stale-record
-        cleanup, resume loading).  Workers attach with the plan
-        fingerprint shipped to them and then only :meth:`record` /
-        :meth:`flush`; concurrent workers write disjoint record files,
-        each atomically, so no cross-process locking is needed.
-        """
-        with self._lock:
-            self._plan_fingerprint = str(fingerprint)
-            (self.directory / _PAIR_DIR).mkdir(parents=True, exist_ok=True)
-
     @staticmethod
     def _read_manifest(path: Path) -> dict[str, Any]:
         try:
@@ -248,23 +234,6 @@ class CheckpointStore:
             np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
 
     # -- resume ------------------------------------------------------------
-    def load_pair(self, coords: PairCoords) -> Tile | None:
-        """Load one journaled pair record (``None`` for an empty product).
-
-        The supervisor's result-collection path: a worker reports a pair
-        done only after durably flushing its record, so the record must
-        exist — a missing or corrupt file raises
-        :class:`~repro.errors.IntegrityError`.
-        """
-        path = self.directory / _PAIR_DIR / _record_name(*coords)
-        if not path.exists():
-            raise IntegrityError(
-                f"checkpoint record for pair {coords} is missing from "
-                f"{self.directory} (worker reported it complete)"
-            )
-        _, tile = self._load_record(path)
-        return tile
-
     def _load_record(self, path: Path) -> tuple[PairCoords, Tile | None]:
         try:
             with np.load(path, allow_pickle=False) as archive:

@@ -8,9 +8,10 @@ worker processes (one shard per simulated socket,
 and operands as its process arguments (inherited under fork, pickled
 under spawn — never written to disk), supervises the workers with
 per-worker heartbeats, per-pair dispatch deadlines and liveness checks,
-and returns the adopted result tiles.  The report, checkpoint resume,
-the aggregated error, the result matrix and the memory-SLA repair
-belong to the executor, shared with the in-process backends.
+and settles each finished pair through the executor's callback.  The
+report, checkpoint resume and flushing, the aggregated error, the
+result matrix and the memory-SLA repair belong to the executor, shared
+with the in-process backends.
 
 This is the **only** module in ``src/repro`` allowed to import
 ``multiprocessing`` (repro-lint rule RPR008): process lifecycle is a
@@ -19,42 +20,45 @@ testable in-process.
 
 Supervision protocol
 --------------------
-Supervisor → worker: one ``SimpleQueue`` per worker carrying
-``((ti, tj), dispatch_attempt)`` tasks and a ``None`` shutdown sentinel.
-Only the supervisor writes these queues and only the owning worker reads
-them, so a SIGKILLed worker cannot corrupt anybody else's channel.
-
-Worker → supervisor: **files only** — heartbeat files, per-pair done
-files, and the shared checkpoint journal, all atomically written.  A
-worker flushes a pair's journal record durably *before* writing its done
-file, so a result the supervisor adopts can never vanish with its
-worker.  The supervisor loads and CRC-checks a pair's record when it
-adopts the done file, while the workers are still computing; the run
-directory holds nothing else.
+One duplex ``multiprocessing`` ``Pipe`` per worker, held only by the
+supervisor and that worker; the supervisor closes the worker's end in
+its own process right after the start.  Supervisor → worker:
+``((ti, tj), dispatch_attempt)`` tasks and a ``None`` shutdown
+sentinel.  Worker → supervisor: ``("beat", n)`` heartbeats and one
+``("done", payload, tile)`` message per pair (statistics, resilience
+outcome, fault events and the result tile, see
+:mod:`repro.engine.shard`).  The supervisor blocks in
+``multiprocessing.connection.wait`` on every channel and every process
+sentinel; the wait's timeout only bounds how quickly cancellation,
+deadlines and heartbeat staleness are noticed.  A channel shares no
+state with any other worker's, so a SIGKILLed worker can corrupt
+nothing but its own, which the supervisor then reads as end-of-file.
+Nothing is written to disk: a caller's
+:class:`~repro.resilience.checkpoint.CheckpointStore` is written by the
+executor's settle step, in the caller's process, at the caller's
+``checkpoint_flush_pairs`` cadence.
 
 Failure handling
 ----------------
-A worker is declared dead when its process exits, its heartbeat file
-goes stale, or its current pair exceeds the dispatch deadline (the
-latter two get a SIGKILL first).  Unfinished pairs of a dead worker are
+A worker is declared dead when its process exits or its channel
+closes, its heartbeats stop, or its current pair exceeds the dispatch
+deadline (the latter two get a SIGKILL first).  Done messages already
+in a dead worker's channel are adopted; its other unfinished pairs are
 reassigned to surviving workers; a pair whose execution killed its
 worker twice is *quarantined* — recorded as a failed
 :class:`~repro.resilience.report.PairOutcome` instead of retried
 forever.  When no workers survive and work remains, a replacement
-worker is spawned.  Supervisor-level restarts resume bit-identically
-through the :class:`~repro.resilience.checkpoint.CheckpointStore`
-journal: recomputing a reassigned pair is deterministic, and adopted
-tiles round-trip through the journal's exact float bytes.
+worker is spawned.  Recomputing a reassigned pair is deterministic, and
+tiles cross the channel as pickled exact float bytes, so results stay
+bit-identical to the in-process backends.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import tempfile
 import time
-from dataclasses import dataclass
-from pathlib import Path
+from collections.abc import Callable
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any
 
 from ..core.tile import Tile
@@ -63,7 +67,6 @@ from ..observe import Observation
 from ..observe import session as observe_session
 from ..resilience.report import PairOutcome, WorkerRecord
 from .cancel import CancelToken
-from .checkpoint import CheckpointStore
 from .faults import active_plan
 from .retry import RetryPolicy
 
@@ -75,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.plan import ExecutionPlan, PlannedPair
     from ..engine.shard import PairCoords
 
-__all__ = ["SupervisedRun", "processes_available", "run_supervised"]
+__all__ = ["run_supervised"]
 
 _span = observe_session.tracer_span
 
@@ -85,57 +88,35 @@ _HEARTBEAT_GRACE = 5.0
 #: A pair that killed its worker this many times is quarantined.
 _QUARANTINE_KILLS = 2
 
-#: Supervisor poll cadence (seconds): done files and liveness checks.
-_POLL_SECONDS = 0.005
-
-
-def processes_available() -> bool:
-    """Whether this platform can run the multiprocess backend.
-
-    ``multiprocessing`` needs working OS semaphores; platforms without
-    them (some containers, WebAssembly builds) raise ``ImportError`` on
-    the synchronize module, and callers fall back to threads.
-    """
-    try:
-        import multiprocessing.synchronize  # noqa: F401 — probe only
-    except ImportError:  # pragma: no cover - platform-specific
-        return False
-    return True
+#: Longest block on the channels (seconds) before cancellation,
+#: deadlines and heartbeat staleness are checked again.
+_WAIT_SECONDS = 0.05
 
 
 class _Worker:
     """Supervisor-side state of one worker process."""
 
     def __init__(
-        self, worker_id: int, process: Any, queue: Any, shard_index: int = 0
+        self, worker_id: int, process: Any, channel: Any, shard_index: int
     ) -> None:
         self.worker_id = worker_id
         self.process = process
-        self.queue = queue
+        self.channel = channel
         self.shard_index = shard_index
         self.record = WorkerRecord(worker_id=worker_id, pid=process.pid)
         #: dispatched-but-unconfirmed tasks, oldest first:
         #: ``[coords, dispatch_attempt, head_since]``
         self.in_flight: list[list[Any]] = []
-        self.last_beat = 0
         self.last_beat_change = time.monotonic()
-        self.sentinel_sent = False
 
     def alive(self) -> bool:
         return bool(self.process.is_alive())
 
-
-@dataclass
-class SupervisedRun:
-    """What :func:`run_supervised` hands back to the executor."""
-
-    #: the adopted result tile of every completed pair (``None`` for an
-    #: all-zero product); failed and quarantined pairs are absent
-    tiles: dict[PairCoords, Tile | None]
-    #: journal flushes the workers made
-    flushes: int
-    #: just-in-time input conversions the workers made
-    conversions: int
+    def release(self) -> None:
+        """Close the channel and the process handle of a joined worker."""
+        self.channel.close()
+        if self.process.exitcode is not None:
+            self.process.close()
 
 
 def run_supervised(
@@ -143,7 +124,7 @@ def run_supervised(
     at_a: ATMatrix,
     at_b: ATMatrix,
     pending: list[PlannedPair],
-    checkpoint: CheckpointStore | None,
+    settle: Callable[[PairCoords, Tile | None], None],
     *,
     report: ParallelReport,
     config: SystemConfig,
@@ -154,54 +135,46 @@ def run_supervised(
     pair_deadline_seconds: float | None,
     cancel: CancelToken | None,
     startup_grace_seconds: float,
-) -> SupervisedRun:
+) -> None:
     """Run the ``pending`` pairs of ``plan`` on supervised worker processes.
 
     :func:`~repro.engine.executor.execute_plan` owns everything before
-    and after: it begins ``checkpoint`` (a store already begun on
-    ``plan``, or ``None``), resumes, flushes it, assembles the result
-    and raises the aggregated error.  This function accounts each pair
-    on ``report`` as it settles — per-pair outcomes, errors, busy time,
-    kernel counts, and the ``worker_deaths``, ``pairs_reassigned``,
-    ``pairs_quarantined`` and per-worker
+    and after: it begins and flushes the checkpoint, resumes, assembles
+    the result and raises the aggregated error.  Each completed pair's
+    tile (``None`` for an all-zero product) is handed to ``settle`` on
+    the calling thread as its done message arrives — the same step the
+    thread backend runs per pair.  This function accounts each pair on
+    ``report`` as it settles — per-pair outcomes, errors, busy time,
+    kernel and conversion counts, and the ``worker_deaths``,
+    ``pairs_reassigned``, ``pairs_quarantined`` and per-worker
     :class:`~repro.resilience.report.WorkerRecord` entries of
     ``report.failure`` — running ``report.workers`` workers at a time.
 
-    The journal is the worker → supervisor result channel, so workers
-    flush it after *every* pair, whatever the caller's flush cadence;
-    without a caller ``checkpoint`` a temporary journal serves.
-
-    A tripped ``cancel`` token is observed at the dispatch loop's poll
-    cadence: workers are killed and the run unwinds with
-    :class:`~repro.errors.OperationCancelledError`, leaving every
-    adopted pair resumable.  ``startup_grace_seconds`` bounds how long
-    a fresh worker may take to post its first heartbeat.
+    A tripped ``cancel`` token is observed within the channel wait's
+    timeout: workers are killed, done messages already in their
+    channels are settled, and the run unwinds with
+    :class:`~repro.errors.OperationCancelledError`.
+    ``startup_grace_seconds`` bounds how long a fresh worker may take
+    to send its first heartbeat.
     """
     # Imported here, not at module top: engine.shard pulls in the
     # executor, which lazily imports this module for mode dispatch.
     from ..engine import shard
 
     if not pending:
-        return SupervisedRun({}, 0, 0)
-    with tempfile.TemporaryDirectory(prefix="repro-shard-") as tmp:
-        run_dir = Path(tmp)
-        store = checkpoint
-        if store is None:
-            store = CheckpointStore(run_dir / "journal")
-            store.begin(plan)
-        parent_plan = active_plan()
-        shard_config = shard.ShardConfig(
-            config=config,
-            cost_model=cost_model,
-            resilience=resilience,
-            heartbeat_interval=heartbeat_interval,
-            journal_dir=str(store.directory),
-            fault_spec=parent_plan.spec() if parent_plan is not None else None,
-        )
-        return _supervise(
-            plan, at_a, at_b, pending, run_dir, store, shard_config, report,
-            obs, pair_deadline_seconds, startup_grace_seconds, cancel,
-        )
+        return
+    parent_plan = active_plan()
+    shard_config = shard.ShardConfig(
+        config=config,
+        cost_model=cost_model,
+        resilience=resilience,
+        heartbeat_interval=heartbeat_interval,
+        fault_spec=parent_plan.spec() if parent_plan is not None else None,
+    )
+    _supervise(
+        plan, at_a, at_b, pending, settle, shard_config, report,
+        obs, pair_deadline_seconds, startup_grace_seconds, cancel,
+    )
 
 
 def _make_context() -> Any:
@@ -215,15 +188,14 @@ def _supervise(
     at_a: ATMatrix,
     at_b: ATMatrix,
     pending: list[PlannedPair],
-    run_dir: Path,
-    store: CheckpointStore,
+    settle: Callable[[PairCoords, Tile | None], None],
     shard_config: Any,
     report: ParallelReport,
     obs: Observation | None,
     pair_deadline_seconds: float | None,
     startup_grace_seconds: float,
     cancel: CancelToken | None,
-) -> SupervisedRun:
+) -> None:
     """The dispatch-and-liveness loop behind :func:`run_supervised`."""
     from ..engine import shard
 
@@ -235,11 +207,7 @@ def _supervise(
     retry_pool: list[PairCoords] = []
     dispatch_counts: dict[PairCoords, int] = {}
     kill_blame: dict[PairCoords, int] = {}
-    done_pairs: set[PairCoords] = set()
-    adopted: dict[PairCoords, Tile | None] = {}
-    quarantined: set[PairCoords] = set()
-    total = len(pending)
-    worker_flushes: dict[int, int] = {}
+    settled = 0
     worker_conversions: dict[int, int] = {}
     next_worker_id = 0
     workers: dict[int, _Worker] = {}
@@ -248,16 +216,20 @@ def _supervise(
         nonlocal next_worker_id
         worker_id = next_worker_id
         next_worker_id += 1
-        queue = ctx.SimpleQueue()
+        channel, worker_end = ctx.Pipe()
         process = ctx.Process(
             target=shard.worker_main,
-            args=(worker_id, str(run_dir), queue, plan, at_a, at_b, shard_config),
+            args=(worker_id, worker_end, plan, at_a, at_b, shard_config),
             name=f"repro-shard-{worker_id}",
             daemon=True,
         )
-        process.start()
-        worker = _Worker(worker_id, process, queue, shard_index)
-        worker.record.pid = process.pid
+        try:
+            process.start()
+        finally:
+            # The worker holds the only other copy, so its death reads
+            # as end-of-file on ``channel``.
+            worker_end.close()
+        worker = _Worker(worker_id, process, channel, shard_index)
         workers[worker_id] = worker
         failure.workers[worker_id] = worker.record
         return worker
@@ -274,143 +246,106 @@ def _supervise(
                 return shards[index].pop(0)
         return None
 
-    def dispatch(worker: _Worker) -> bool:
-        coords = next_task(worker)
-        if coords is None:
-            return False
-        dispatch_counts[coords] = dispatch_counts.get(coords, 0) + 1
-        attempt = dispatch_counts[coords]
-        head_since = time.monotonic() if not worker.in_flight else None
-        worker.in_flight.append([coords, attempt, head_since])
-        with _span(
-            obs, "shard.dispatch", "shard",
-            {"worker": worker.worker_id, "ti": coords[0], "tj": coords[1],
-             "attempt": attempt} if obs is not None else None,
-        ):
-            worker.queue.put((coords, attempt))
-        return True
+    def top_up(worker: _Worker) -> None:
+        # Pipeline depth 2: the worker always has the next pair queued,
+        # so it never idles waiting for the supervisor.
+        while len(worker.in_flight) < 2:
+            coords = next_task(worker)
+            if coords is None:
+                return
+            dispatch_counts[coords] = dispatch_counts.get(coords, 0) + 1
+            attempt = dispatch_counts[coords]
+            head_since = time.monotonic() if not worker.in_flight else None
+            worker.in_flight.append([coords, attempt, head_since])
+            with _span(
+                obs, "shard.dispatch", "shard",
+                {"worker": worker.worker_id, "ti": coords[0], "tj": coords[1],
+                 "attempt": attempt} if obs is not None else None,
+            ):
+                try:
+                    worker.channel.send((coords, attempt))
+                except OSError:
+                    return  # it just died; the next drain buries it
 
-    def adopt_done(worker: _Worker, payload: dict[str, Any]) -> None:
-        coords = (int(payload["pair"][0]), int(payload["pair"][1]))
-        done_pairs.add(coords)
-        outcome = payload.get("outcome") or {}
-        failure.merge_outcome(
-            PairOutcome(
-                pair=coords,
-                attempts=int(outcome.get("attempts", 1)),
-                retries=int(outcome.get("retries", 0)),
-                degradations=int(outcome.get("degradations", 0)),
-                deadline_violations=int(outcome.get("deadline_violations", 0)),
-                fallbacks=int(outcome.get("fallbacks", 0)),
-                late=bool(outcome.get("late", False)),
-                failed=bool(outcome.get("failed", False)),
-                error=outcome.get("error"),
-            )
-        )
+    def adopt(worker: _Worker, payload: dict[str, Any], tile: Tile | None) -> None:
+        nonlocal settled
+        coords: PairCoords = payload["pair"]
+        # The worker serves its tasks in order, so this is the head.
+        worker.in_flight.pop(0)
+        if worker.in_flight:
+            worker.in_flight[0][2] = time.monotonic()
+        settled += 1
+        failure.merge_outcome(PairOutcome(pair=coords, **payload["outcome"]))
         parent_plan = active_plan()
-        if parent_plan is not None and payload.get("events"):
+        if parent_plan is not None and payload["events"]:
             parent_plan.absorb_wire(payload["events"])
-        busy = float(payload.get("busy_seconds", 0.0))
+        busy = payload["busy_seconds"]
         lane = f"shard-{worker.worker_id}"
         report.worker_busy_seconds[lane] = (
             report.worker_busy_seconds.get(lane, 0.0) + busy
         )
-        worker_flushes[worker.worker_id] = int(payload.get("flushes", 0))
-        worker_conversions[worker.worker_id] = int(payload.get("conversions", 0))
+        worker_conversions[worker.worker_id] = payload["conversions"]
         if obs is not None:
             obs.metrics.counter(f"worker.busy_seconds.{lane}").inc(busy)
-        if payload.get("failed"):
+        if payload["failed"]:
             failure.record_error(
-                coords, TaskFailedError(str(payload.get("error")), pair=coords)
+                coords, TaskFailedError(str(payload["error"]), pair=coords)
             )
-        else:
-            # The worker flushed this record before writing its done
-            # file; reading it now overlaps the load and CRC check with
-            # the other workers' compute and fsync waits.
-            adopted[coords] = store.load_pair(coords)
-            report.products += int(payload.get("products", 0))
-            report.pairs_executed += 1
-            report.merge_kernel_counts(
-                {str(k): int(v) for k, v in payload.get("kernel_counts", {}).items()}
-            )
-            worker.record.pairs_completed += 1
+            return
+        settle(coords, tile)
+        report.products += payload["products"]
+        report.pairs_executed += 1
+        report.merge_kernel_counts(payload["kernel_counts"])
+        worker.record.pairs_completed += 1
 
-    def read_done(coords: PairCoords) -> dict[str, Any] | None:
-        path = shard.done_file(run_dir, coords)
-        if not path.exists():
-            return None
+    def drain(worker: _Worker) -> bool:
+        """Handle every message waiting on the channel; False once it closed."""
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):  # pragma: no cover - torn read impossible
-            return None                # (atomic writes), racing unlink only
-        path.unlink(missing_ok=True)
-        return loaded if isinstance(loaded, dict) else None
-
-    def check_heartbeat(worker: _Worker) -> bool:
-        """Refresh heartbeat state; False when the worker looks hung."""
-        path = shard.heartbeat_file(run_dir, worker.worker_id)
-        if path.exists():
-            try:
-                beat = int(
-                    json.loads(path.read_text(encoding="utf-8")).get("beat", 0)
-                )
-            except (OSError, ValueError):
-                beat = worker.last_beat
-            if beat != worker.last_beat:
-                worker.last_beat = beat
+            while worker.channel.poll():
+                message = worker.channel.recv()
+                if message[0] == "done":
+                    adopt(worker, message[1], message[2])
+                    continue
+                worker.record.heartbeats = message[1]
                 worker.last_beat_change = time.monotonic()
-                worker.record.heartbeats = beat
                 if obs is not None:
                     obs.tracer.instant(
                         "worker.heartbeat", "shard",
-                        {"worker": worker.worker_id, "beat": beat},
+                        {"worker": worker.worker_id, "beat": message[1]},
                     )
-        stale_after = max(
-            _HEARTBEAT_GRACE * shard_config.heartbeat_interval, 1.0
-        )
-        if worker.last_beat == 0:
+        except (EOFError, OSError):
+            # The worker is gone (a truncated last message included).
+            return False
+        return True
+
+    def hung_for(worker: _Worker, now: float) -> float | None:
+        """Seconds since the last heartbeat, when that is too long."""
+        stale_after = max(_HEARTBEAT_GRACE * shard_config.heartbeat_interval, 1.0)
+        if worker.record.heartbeats == 0:
             # No first beat yet: the worker is still importing/starting.
             stale_after = max(stale_after, startup_grace_seconds)
-        return time.monotonic() - worker.last_beat_change <= stale_after
+        silent = now - worker.last_beat_change
+        return silent if silent > stale_after else None
 
     def bury(worker: _Worker, cause: str) -> None:
         """Account a dead worker and reassign or quarantine its pairs."""
         if worker.alive():
             worker.process.kill()
-            worker.process.join(timeout=5.0)
+        worker.process.join(timeout=5.0)
+        # Pairs it finished before dying are adopted, not recomputed.
+        drain(worker)
+        worker.release()
+        del workers[worker.worker_id]
         worker.record.died = True
         worker.record.cause = cause
         failure.worker_deaths += 1
         observe_session.counter("supervisor.worker_deaths").inc()
-        blamed = False
-        for coords, _attempt, _head in list(worker.in_flight):
-            late = read_done(coords)
-            if late is not None:
-                # The pair actually finished (and flushed) before death.
-                adopt_done(worker, late)
-                continue
-            if not blamed:
-                # Oldest unfinished task is the one that was executing.
-                blamed = True
+        for position, (coords, _attempt, _head) in enumerate(worker.in_flight):
+            if position == 0:
+                # The oldest unfinished task is the one that was executing.
                 kill_blame[coords] = kill_blame.get(coords, 0) + 1
                 if kill_blame[coords] >= _QUARANTINE_KILLS:
-                    quarantined.add(coords)
-                    failure.pairs_quarantined += 1
-                    observe_session.counter("supervisor.pairs_quarantined").inc()
-                    error = TaskFailedError(
-                        f"pair {coords} quarantined after killing "
-                        f"{kill_blame[coords]} workers",
-                        pair=coords,
-                    )
-                    failure.merge_outcome(
-                        PairOutcome(
-                            pair=coords,
-                            attempts=dispatch_counts.get(coords, 0),
-                            failed=True,
-                            error=repr(error),
-                        )
-                    )
-                    failure.record_error(coords, error)
+                    quarantine(coords)
                     continue
             retry_pool.append(coords)
             failure.pairs_reassigned += 1
@@ -422,51 +357,50 @@ def _supervise(
             ):
                 pass
         worker.in_flight.clear()
-        del workers[worker.worker_id]
 
-    def remaining() -> int:
-        return total - len(done_pairs) - len(quarantined)
+    def quarantine(coords: PairCoords) -> None:
+        nonlocal settled
+        settled += 1
+        failure.pairs_quarantined += 1
+        observe_session.counter("supervisor.pairs_quarantined").inc()
+        error = TaskFailedError(
+            f"pair {coords} quarantined after killing "
+            f"{kill_blame[coords]} workers",
+            pair=coords,
+        )
+        failure.merge_outcome(
+            PairOutcome(
+                pair=coords,
+                attempts=dispatch_counts.get(coords, 0),
+                failed=True,
+                error=repr(error),
+            )
+        )
+        failure.record_error(coords, error)
 
-    crew = [spawn_worker(index) for index in range(worker_count)]
     try:
-        for worker in crew:
-            # Pipeline depth 2: the worker always has the next pair
-            # queued, so it never idles on the supervisor's poll cadence.
-            dispatch(worker)
-            dispatch(worker)
-        while remaining() > 0:
+        for index in range(worker_count):
+            top_up(spawn_worker(index))
+        while settled < len(pending):
             if cancel is not None:
-                # Cancellation lands between dispatches: pairs already
-                # on a worker finish and are adopted via their durable
-                # done files on the *next* run's resume.
                 cancel.check()
+            wait(
+                [worker.channel for worker in workers.values()]
+                + [worker.process.sentinel for worker in workers.values()],
+                timeout=_WAIT_SECONDS,
+            )
             now = time.monotonic()
             for worker in list(workers.values()):
-                # Adopt results head-first, in dispatch order.
-                while worker.in_flight:
-                    head = worker.in_flight[0]
-                    payload = read_done(head[0])
-                    if payload is None:
-                        break
-                    worker.in_flight.pop(0)
-                    if worker.in_flight and worker.in_flight[0][2] is None:
-                        worker.in_flight[0][2] = time.monotonic()
-                    adopt_done(worker, payload)
-                    dispatch(worker)
-                if not worker.alive():
+                if not drain(worker) or not worker.alive():
                     bury(worker, "process exited")
                     continue
-                if not check_heartbeat(worker):
-                    bury(
-                        worker,
-                        f"missed heartbeats for "
-                        f"{now - worker.last_beat_change:.2f}s",
-                    )
+                silent = hung_for(worker, now)
+                if silent is not None:
+                    bury(worker, f"missed heartbeats for {silent:.2f}s")
                     continue
                 if (
                     pair_deadline_seconds is not None
                     and worker.in_flight
-                    and worker.in_flight[0][2] is not None
                     and now - worker.in_flight[0][2] > pair_deadline_seconds
                 ):
                     bury(
@@ -475,31 +409,28 @@ def _supervise(
                         f"{pair_deadline_seconds}s dispatch deadline",
                     )
                     continue
-                if not worker.in_flight:
-                    dispatch(worker)
-            if remaining() > 0 and not workers:
-                replacement = spawn_worker(0)
-                dispatch(replacement)
-                dispatch(replacement)
-            time.sleep(_POLL_SECONDS)
+                top_up(worker)
+            if settled < len(pending) and not workers:
+                top_up(spawn_worker(0))
     except (KeyboardInterrupt, OperationCancelledError):
         for worker in workers.values():
             worker.process.kill()
         for worker in workers.values():
             worker.process.join(timeout=5.0)
+            # Keep what finished: the executor flushes it before unwinding.
+            drain(worker)
         raise
     finally:
         for worker in workers.values():
-            if not worker.sentinel_sent:
-                worker.sentinel_sent = True
-                worker.queue.put(None)
+            try:
+                worker.channel.send(None)
+            except OSError:
+                pass  # already dead: killed on the way out
         deadline = time.monotonic() + 10.0
         for worker in workers.values():
             worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
             if worker.alive():  # pragma: no cover - stuck worker backstop
                 worker.process.kill()
                 worker.process.join(timeout=5.0)
-
-    return SupervisedRun(
-        adopted, sum(worker_flushes.values()), sum(worker_conversions.values())
-    )
+            worker.release()
+    report.conversions = sum(worker_conversions.values())

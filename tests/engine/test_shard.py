@@ -1,30 +1,24 @@
 """Tests for the worker-side shard protocol (no processes involved).
 
 Everything here runs in-process: ``worker_main`` is driven by a stub
-:class:`TaskSource` and handed its plan and operands directly, so the
-done-file protocol, the journal-before-done ordering and the fault-spec
-plumbing are all exercised without ``multiprocessing``.
+:class:`Channel` and handed its plan and operands directly, so the
+heartbeat and done messages and the fault-spec plumbing are all
+exercised without ``multiprocessing``.
 """
 
-import json
 import pickle
+import time
 
 import pytest
 
 from repro import COOMatrix, SystemConfig, build_at_matrix
 from repro.cost.model import CostModel
 from repro.engine import build_plan
-from repro.engine.shard import (
-    ShardConfig,
-    assign_shards,
-    done_file,
-    heartbeat_file,
-    worker_main,
-)
+from repro.core.tile import Tile
+from repro.engine.shard import ShardConfig, assign_shards, worker_main
 from repro.engine.shard import _failure_snapshot, _outcome_delta
-from repro.errors import IntegrityError, PlanMismatchError
+from repro.errors import PlanMismatchError
 from repro.resilience import FaultPlanSpec, RetryPolicy
-from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.report import FailureReport, PairOutcome
 
 from ..conftest import heterogeneous_array
@@ -76,18 +70,17 @@ class TestAssignShards:
 class TestRunDirRoundTrip:
     """What a spawned worker receives must survive a pickle round trip."""
 
-    def shard_config(self, tmp_path, **overrides):
+    def shard_config(self, **overrides):
         defaults = dict(
             config=CONFIG,
             cost_model=CostModel(),
             resilience=None,
             heartbeat_interval=0.25,
-            journal_dir=str(tmp_path / "journal"),
         )
         defaults.update(overrides)
         return ShardConfig(**defaults)
 
-    def test_shard_config_pickles_with_fault_spec(self, tmp_path):
+    def test_shard_config_pickles_with_fault_spec(self):
         spec = FaultPlanSpec(
             seed=7,
             kernel_error_rate=0.1,
@@ -95,19 +88,13 @@ class TestRunDirRoundTrip:
             worker_crash_attempts=2,
         )
         config = self.shard_config(
-            tmp_path, resilience=RetryPolicy(max_attempts=2), fault_spec=spec
+            resilience=RetryPolicy(max_attempts=2), fault_spec=spec
         )
         clone = pickle.loads(pickle.dumps(config))
         assert clone.fault_spec == spec
         assert clone.resilience.max_attempts == 2
         rebuilt = clone.fault_spec.build()
         assert rebuilt.worker_crash_pairs == ((1, 2),)
-
-
-class TestFileNaming:
-    def test_heartbeat_and_done_files_are_stable(self, tmp_path):
-        assert heartbeat_file(tmp_path, 3).name == "hb-003.json"
-        assert done_file(tmp_path, (12, 7)).name == "done-00012-00007.json"
 
 
 class TestOutcomeDelta:
@@ -131,78 +118,100 @@ class TestOutcomeDelta:
         assert delta["late"] is True
 
 
-class _StubSource:
-    """A TaskSource fed from a list (dispatch ends with the sentinel)."""
+class _StubChannel:
+    """A Channel fed from a list (dispatch ends with the sentinel)."""
 
     def __init__(self, tasks):
         self._tasks = list(tasks) + [None]
+        self.sent = []
 
-    def get(self):
+    def recv(self):
         return self._tasks.pop(0)
+
+    def send(self, message):
+        # Pickled like a Pipe would, so only wire-safe messages pass.
+        self.sent.append(pickle.loads(pickle.dumps(message)))
 
 
 class TestWorkerMainInProcess:
-    def run_worker(self, tmp_path, planned, coords_list, operand_b=None):
+    def run_worker(self, planned, coords_list, operand_b=None):
         at, plan = planned
-        journal = tmp_path / "journal"
         shard_config = ShardConfig(
             config=CONFIG,
             cost_model=CostModel(),
             resilience=None,
             heartbeat_interval=0.05,
-            journal_dir=str(journal),
         )
-        supervisor_store = CheckpointStore(journal)
-        supervisor_store.begin(plan)
-        tasks = [(coords, 1) for coords in coords_list]
+        channel = _StubChannel([(coords, 1) for coords in coords_list])
         worker_main(
-            0, str(tmp_path), _StubSource(tasks), plan, at,
-            at if operand_b is None else operand_b, shard_config,
+            0, channel, plan, at, at if operand_b is None else operand_b,
+            shard_config,
         )
-        return plan, supervisor_store
+        return channel.sent
 
-    def test_done_files_and_journal_records_appear(self, tmp_path, planned):
+    def test_done_messages_carry_stats_and_tiles(self, planned):
         _, plan = planned
         coords = [(p.ti, p.tj) for p in plan.pairs[:3]]
-        plan, store = self.run_worker(tmp_path, planned, coords)
-        for pair_coords in coords:
-            payload = json.loads(
-                done_file(tmp_path, pair_coords).read_text(encoding="utf-8")
-            )
+        done = [m for m in self.run_worker(planned, coords) if m[0] == "done"]
+        # One done message per pair, in dispatch order.
+        assert [message[1]["pair"] for message in done] == coords
+        for _, payload, tile in done:
             assert payload["failed"] is False
             assert payload["worker"] == 0
             assert payload["dispatch_attempt"] == 1
             assert payload["products"] >= 1
             assert payload["outcome"]["attempts"] == 1
-            # Journal-before-done: the result is durable by the time the
-            # done file exists, so the supervisor can always adopt it.
-            assert store.load_pair(pair_coords) is not None
+            assert tile is None or isinstance(tile, Tile)
+        assert any(tile is not None for _, _, tile in done)
 
-    def test_heartbeat_file_appears_with_worker_pid(self, tmp_path, planned):
+    def test_heartbeats_are_sent_before_any_result(self, planned):
         _, plan = planned
-        plan, _ = self.run_worker(
-            tmp_path, planned, [(plan.pairs[0].ti, plan.pairs[0].tj)]
-        )
-        beat = json.loads(
-            heartbeat_file(tmp_path, 0).read_text(encoding="utf-8")
-        )
-        assert beat["worker"] == 0
-        assert beat["beat"] >= 1
-        assert beat["pid"] > 0
+        sent = self.run_worker(planned, [(plan.pairs[0].ti, plan.pairs[0].tj)])
+        assert sent[0] == ("beat", 1)
+        beats = [message[1] for message in sent if message[0] == "beat"]
+        assert beats == list(range(1, len(beats) + 1))
 
-    def test_unjournaled_pair_is_an_integrity_error(self, tmp_path, planned):
-        _, plan = planned
-        plan, store = self.run_worker(
-            tmp_path, planned, [(plan.pairs[0].ti, plan.pairs[0].tj)]
-        )
-        with pytest.raises(IntegrityError):
-            store.load_pair((99, 99))
-
-    def test_mismatched_operands_are_refused(self, tmp_path, planned, rng):
+    def test_mismatched_operands_are_refused(self, planned, rng):
         _, plan = planned
         other = build(rng.uniform(0.1, 1.0, size=(64, 64)))
         with pytest.raises(PlanMismatchError):
             self.run_worker(
-                tmp_path, planned, [(plan.pairs[0].ti, plan.pairs[0].tj)],
+                planned, [(plan.pairs[0].ti, plan.pairs[0].tj)],
                 operand_b=other,
             )
+
+
+class _SlowChannel(_StubChannel):
+    """A stub channel whose sends take long and count overlaps."""
+
+    def __init__(self, tasks):
+        super().__init__(tasks)
+        self.overlaps = 0
+        self._sending = False
+
+    def send(self, message):
+        if self._sending:
+            self.overlaps += 1
+        self._sending = True
+        # A large message leaves a pipe in several writes; a second
+        # sender in between would interleave its bytes with them.
+        time.sleep(0.002)
+        super().send(message)
+        self._sending = False
+
+
+class TestChannelContention:
+    def test_heartbeats_never_overlap_a_done_message(self, planned):
+        at, plan = planned
+        tasks = [((p.ti, p.tj), 1) for p in plan.pairs] * 10
+        channel = _SlowChannel(tasks)
+        shard_config = ShardConfig(
+            config=CONFIG, cost_model=CostModel(), resilience=None,
+            heartbeat_interval=0.0,
+        )
+        worker_main(0, channel, plan, at, at, shard_config)
+        beats = [message for message in channel.sent if message[0] == "beat"]
+        done = [message for message in channel.sent if message[0] == "done"]
+        assert len(beats) >= 5
+        assert [message[1]["pair"] for message in done] == [c for c, _ in tasks]
+        assert channel.overlaps == 0

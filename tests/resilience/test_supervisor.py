@@ -3,10 +3,16 @@
 Worker-kill recovery, quarantine and fault-injection parity live in
 ``tests/integration/test_worker_kill.py``; this module covers the
 happy-path contract: bit-identical results, report population,
-checkpoint resume and the thread fallback.
+checkpoint cadence and resume, and what a run leaves behind.
 """
 
 import multiprocessing
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -23,7 +29,6 @@ from repro.errors import TaskFailedError
 from repro.resilience import FaultPlan, inject_faults
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.report import WorkerRecord
-from repro.resilience.supervisor import processes_available
 
 from ..conftest import heterogeneous_array
 
@@ -44,11 +49,6 @@ def process_options(**overrides):
 
 
 class TestSupervisedCorrectness:
-    def test_platform_supports_processes(self):
-        # The remaining tests exercise the real backend; this canary
-        # makes an environment regression obvious instead of mysterious.
-        assert processes_available()
-
     def test_matches_sequential_bit_for_bit(self, rng):
         at = build(heterogeneous_array(rng, 64, 64))
         sequential, _ = atmult(at, at, config=CONFIG)
@@ -244,7 +244,7 @@ class TestOperandHandoff:
         assert report.pairs_executed == report.pairs > 0
 
     def test_forked_run_writes_no_operand_archive_or_pickle(
-        self, rng, monkeypatch
+        self, rng, monkeypatch, tmp_path
     ):
         archives = []
         real_save = serialize.save_at_matrix
@@ -254,15 +254,13 @@ class TestOperandHandoff:
             real_save(*args)
 
         monkeypatch.setattr(serialize, "save_at_matrix", spying_save)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         run_files = []
         real_supervise = supervisor._supervise
 
         def listing_supervise(*args):
             adopted = real_supervise(*args)
-            run_dir = next(arg for arg in args if isinstance(arg, Path))
-            run_files.extend(
-                path.relative_to(run_dir) for path in run_dir.rglob("*")
-            )
+            run_files.extend(tmp_path.rglob("*"))
             return adopted
 
         monkeypatch.setattr(supervisor, "_supervise", listing_supervise)
@@ -275,29 +273,118 @@ class TestOperandHandoff:
             supervised.to_dense(), sequential.to_dense()
         )
         assert archives == []
-        assert any(path.parts[0] == "journal" for path in run_files)
-        outside_journal = [
-            path for path in run_files if path.parts[0] != "journal"
-        ]
-        assert outside_journal  # heartbeat files
-        assert not [
-            path for path in outside_journal if path.suffix in (".npz", ".pkl")
-        ]
+        # No run directory: results, heartbeats and statistics travel on
+        # the worker channels.
+        assert run_files == []
 
 
-class TestThreadFallback:
-    def test_unavailable_platform_falls_back_with_a_warning(
-        self, rng, monkeypatch
-    ):
-        monkeypatch.setattr(supervisor, "processes_available", lambda: False)
+class TestCheckpointCadence:
+    def test_flush_interval_is_honoured_on_processes(self, rng, tmp_path):
+        at = build(heterogeneous_array(rng, 64, 64))
+        flushes = {}
+        results = {}
+        for execution in ("threads", "processes"):
+            store = CheckpointStore(tmp_path / execution)
+            # One pool thread: concurrent pool threads may both record
+            # before either checks the buffer and so merge two flushes.
+            workers = 1 if execution == "threads" else 2
+            results[execution], report = parallel_atmult(
+                at, at, topology=TOPOLOGY,
+                options=process_options(
+                    execution=execution, workers=workers, checkpoint=store,
+                    checkpoint_flush_pairs=4,
+                ),
+            )
+            flushes[execution] = report.checkpoint_flushes
+        pairs = report.pairs
+        assert pairs > 4
+        assert flushes["processes"] == flushes["threads"] == -(-pairs // 4)
+        resumed, resumed_report = parallel_atmult(
+            at, at, topology=TOPOLOGY,
+            options=process_options(
+                checkpoint=CheckpointStore(tmp_path / "processes", resume=True)
+            ),
+        )
+        assert resumed_report.failure.pairs_resumed == pairs
+        assert resumed_report.pairs_executed == 0
+        assert resumed.to_dense().tobytes() == results["processes"].to_dense().tobytes()
+        assert resumed.to_dense().tobytes() == results["threads"].to_dense().tobytes()
+
+
+class TestNoLeaks:
+    def test_back_to_back_runs_leak_nothing(self, rng, monkeypatch):
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("needs /proc/self/fd to count open descriptors")
+        made = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def spying_mkdtemp(*args, **kwargs):
+            made.append(real_mkdtemp(*args, **kwargs))
+            return made[-1]
+
         at = build(heterogeneous_array(rng, 64, 64))
         sequential, _ = atmult(at, at, config=CONFIG)
-        with pytest.warns(RuntimeWarning, match="falls back to threads"):
-            result, report = parallel_atmult(
+
+        def run():
+            result, _ = parallel_atmult(
                 at, at, topology=TOPOLOGY, options=process_options()
             )
-        np.testing.assert_array_equal(
-            result.to_dense(), sequential.to_dense()
+            np.testing.assert_array_equal(
+                result.to_dense(), sequential.to_dense()
+            )
+
+        run()  # warm-up: lazy imports may open descriptors once
+        fds = len(os.listdir(fd_dir))
+        threads = threading.active_count()
+        monkeypatch.setattr(tempfile, "mkdtemp", spying_mkdtemp)
+        for _ in range(5):
+            run()
+        assert len(os.listdir(fd_dir)) == fds
+        assert threading.active_count() == threads
+        assert made == []
+
+
+class TestWithoutSemaphores:
+    def test_process_backend_runs_without_the_synchronize_module(self):
+        # Platforms without OS semaphores cannot import
+        # multiprocessing.synchronize; the backend needs only Process,
+        # Pipe and connection.wait, so it must still run there.
+        script = textwrap.dedent(
+            """
+            import sys
+            sys.modules["multiprocessing.synchronize"] = None
+            import numpy as np
+            from repro import COOMatrix, SystemConfig, SystemTopology
+            from repro import atmult, build_at_matrix
+            from repro.core.parallel import parallel_atmult
+            from repro.engine import MultiplyOptions
+
+            config = SystemConfig(llc_bytes=8 * 1024, b_atomic=16)
+            array = np.random.default_rng(5).random((48, 48))
+            array[array < 0.6] = 0.0
+            at = build_at_matrix(COOMatrix.from_dense(array), config)
+            sequential, _ = atmult(at, at, config=config)
+            result, report = parallel_atmult(
+                at, at, topology=SystemTopology(sockets=2, cores_per_socket=2),
+                options=MultiplyOptions(
+                    config=config, execution="processes", workers=1,
+                    heartbeat_interval_seconds=0.05,
+                ),
+            )
+            assert result.to_dense().tobytes() == sequential.to_dense().tobytes()
+            assert len(report.failure.workers) == 1, report.failure.workers
+            print("ok", report.pairs_executed)
+            """
         )
-        # The thread backend leaves no per-process worker records.
-        assert not report.failure.workers
+        src = str(Path(supervisor.__file__).resolve().parents[2])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.startswith("ok ")
