@@ -50,17 +50,10 @@ from ..engine.options import MultiplyOptions, coerce_options
 from ..errors import ShapeError
 from ..observe import session as observe_session
 from .atmatrix import ATMatrix
-from .operands import MatrixOperand, as_at_matrix, check_operands, operand_density_map
+from .operands import MatrixOperand, as_at_matrix, check_operands
 from .report import MultiplyReport
 
-# Pre-engine call sites imported these from here; their home is now
-# repro.core.operands.
-__all__ = [
-    "MatrixOperand",
-    "as_at_matrix",
-    "atmult",
-    "operand_density_map",
-]
+__all__ = ["atmult"]
 
 logger = logging.getLogger("repro.atmult")
 

@@ -28,7 +28,8 @@ live re-derivation when degradation changed the target kind), kernel
 dispatch, and the resilience wrapper —
 :class:`~repro.resilience.retry.ResilientPairRunner` when a policy is
 given: bounded retries, result validation with reference fallback and
-memory-pressure degradation.
+memory-pressure degradation.  :func:`finish` folds each pair's outcome
+into the run, on every backend.
 
 Replaying against operands whose structure fingerprint differs from the
 plan's raises :class:`~repro.errors.PlanMismatchError`.
@@ -42,6 +43,7 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -75,7 +77,7 @@ from ..resilience.checkpoint import CheckpointStore
 from ..resilience.degrade import DegradationState
 from ..resilience.faults import fire_hooks, task_scope
 from ..resilience.guard import reference_tile_product, validate_tile
-from ..resilience.report import FailureReport, aggregate_message
+from ..resilience.report import PairOutcome, aggregate_message
 from ..resilience.retry import ResilientPairRunner, RetryPolicy
 from ..topology.trace import TaskRecord
 from .fingerprint import payload_fingerprint, structure_fingerprint
@@ -107,8 +109,11 @@ class _PairStats:
 
 @dataclass
 class _PairOutcome:
+    """A pair's whole result: its tile, statistics and resilience record."""
+
     tile: Tile | None
     stats: _PairStats
+    record: PairOutcome
 
 
 class _ConversionCache:
@@ -246,12 +251,11 @@ class PairComputer:
         self.runner: ResilientPairRunner | None = None
         self._policy = resilience
 
-    def bind_resilience(self, config: SystemConfig, failure: FailureReport) -> None:
+    def bind_resilience(self, config: SystemConfig) -> None:
         """Create the degradation state and runner for ``config``.
 
-        Separate from ``__init__`` because the failure report lives on
-        the backend's report object, which the caller creates after
-        deciding the execution mode.
+        Separate from ``__init__`` because a worker process learns its
+        system config from the shipped shard contract, not the plan.
         """
         if self._policy is None:
             return
@@ -265,7 +269,7 @@ class PairComputer:
             self.plan.write_threshold,
         )
         self.runner = ResilientPairRunner(  # repro-lint: disable=RPR012
-            self._policy, failure, self.degradation
+            self._policy, self.degradation
         )
 
     # -- per-pair execution ----------------------------------------------
@@ -276,6 +280,7 @@ class PairComputer:
         retried attempt cannot double-count into the report."""
         attempt_start = time.perf_counter()
         stats = _PairStats()
+        record = PairOutcome(pair=(pair.ti, pair.tj), attempts=1)
         obs = self.obs
         plan = self.plan
         degradation = self.degradation
@@ -290,7 +295,7 @@ class PairComputer:
                 if not pair.products and self.at_c is None:
                     # Nothing to add up (every product may have been
                     # pruned at plan time): no accumulator, no tile.
-                    return _PairOutcome(None, stats)
+                    return _PairOutcome(None, stats, record)
                 threshold = (
                     degradation.threshold
                     if degradation is not None
@@ -419,7 +424,7 @@ class PairComputer:
                         f"pair {(pair.ti, pair.tj)} dense tile of "
                         f"{tile.memory_bytes()} B would exceed the memory budget"
                     )
-                return _PairOutcome(tile, stats)
+                return _PairOutcome(tile, stats, record)
         finally:
             if self.busy_hook is not None:
                 self.busy_hook(time.perf_counter() - attempt_start)
@@ -438,6 +443,10 @@ class PairComputer:
     def run_pair(self, pair: PlannedPair) -> _PairOutcome:
         """Execute one pair under the resilience policy, if any.
 
+        Returns the pair's tile, statistics and record (one attempt
+        without a policy) after spending the tile's bytes from the
+        degradation budget, in a worker process too.
+
         Checks the cancel token first, so cancellation/deadline expiry
         is observed at tile-pair granularity: a pair that already
         started runs to completion (and is journaled), the next one
@@ -448,22 +457,57 @@ class PairComputer:
         coords = (pair.ti, pair.tj)
         if self.runner is None:
             with task_scope(coords, 1):
-                return self.compute(pair, False)
-        return self.runner.run(
-            coords,
-            lambda force_sparse: self.compute(pair, force_sparse),
-            validate=lambda res: self.validate(pair, res),
-            fallback=lambda force_sparse: self.compute(
-                pair, force_sparse, use_reference=True
-            ),
-        )
-
-    def note_completed(self, pair: PlannedPair, tile: Tile | None) -> None:
-        """Account a finished pair's memory against the degradation budget."""
-        if self.degradation is not None and tile is not None:
-            self.degradation.note_completed(
-                pair.r0, pair.r1, pair.c0, pair.c1, tile.memory_bytes()
+                outcome = self.compute(pair, False)
+        else:
+            result, record = self.runner.run(
+                coords,
+                lambda force_sparse: self.compute(pair, force_sparse),
+                validate=lambda res: self.validate(pair, res),
+                fallback=lambda force_sparse: self.compute(
+                    pair, force_sparse, use_reference=True
+                ),
             )
+            outcome = _PairOutcome(result.tile, result.stats, record)
+        if outcome.tile is not None:
+            self.note_completed(pair, outcome.tile.memory_bytes())
+        return outcome
+
+    def note_completed(self, pair: PlannedPair, nbytes: int) -> None:
+        """Account a finished pair's memory against the degradation budget."""
+        if self.degradation is not None:
+            self.degradation.note_completed(pair.r0, pair.r1, pair.c0, pair.c1, nbytes)
+
+    def note_resumed(self, resumed: Sequence[tuple[int, int]]) -> None:
+        """Spend the ``(plan pair index, tile bytes)`` of checkpointed pairs."""
+        for index, nbytes in resumed:
+            self.note_completed(self.plan.pairs[index], nbytes)
+
+
+def finish(
+    report: MultiplyReport | ParallelReport,
+    coords: tuple[int, int],
+    result: _PairOutcome | Exception,
+    settle: Callable[[Tile | None], None],
+    guard: AbstractContextManager[object] = nullcontext(),
+) -> None:
+    """Fold one pair's :meth:`PairComputer.run_pair` result (or error) into its run.
+
+    Merges the record and statistics under ``guard`` (the thread
+    backend's report lock), then hands the tile to ``settle``.  An error
+    is recorded with the failed record it carries as ``outcome``, or,
+    without one (no policy), as the one attempt that ran.
+    """
+    failure = report.failure
+    if isinstance(result, Exception):
+        record = getattr(result, "outcome", None) or PairOutcome(coords, attempts=1)
+        with guard:
+            failure.merge_outcome(record)
+            failure.record_error(coords, result)
+        return
+    with guard:
+        failure.merge_outcome(result.record)
+        _account(report, result.stats)
+    settle(result.tile)
 
 
 def execute_plan(
@@ -506,8 +550,9 @@ def execute_plan(
       worker records, deaths and reassignments.
 
     Everything around that is shared: the report, checkpoint resume,
-    the aggregated :class:`~repro.errors.TaskFailedError` of the
-    parallel backends (raised after every pair has settled), the
+    the :func:`finish` step every completed or failed pair goes
+    through, the aggregated :class:`~repro.errors.TaskFailedError` of
+    the parallel backends (raised after every pair has settled), the
     result assembled in plan pair order and the memory-SLA repair.
     ``at_c`` seeding is sequential-only.
 
@@ -558,16 +603,20 @@ def execute_plan(
         checkpoint.begin(plan) if checkpoint is not None else {}
     )
     pending: list[int] = []
+    resumed: list[tuple[int, int]] = []  # (index, tile bytes), for the budget
     for index, pair in enumerate(plan.pairs):
         coords = (pair.ti, pair.tj)
         if coords in completed:
-            tiles[index] = completed[coords]
+            tile = tiles[index] = completed[coords]
             report.failure.pairs_resumed += 1
+            if tile is not None:
+                resumed.append((index, tile.memory_bytes()))
         else:
             pending.append(index)
 
     # The in-process backends share one PairComputer; worker threads
-    # account under a lock, the sequential loop on one thread takes none.
+    # finish pairs under a lock, the sequential loop on one thread takes
+    # none, and the supervisor finishes them on this thread.
     computer: PairComputer | None = None
     guard: AbstractContextManager[object] = nullcontext()
     if execution != "processes":
@@ -588,13 +637,8 @@ def execute_plan(
             busy_hook=busy_hook,
             cancel=cancel,
         )
-        computer.bind_resilience(config, report.failure)
-        # Only resumed pairs hold a tile yet; they count against the
-        # degradation budget like pairs computed here.
-        for pair, tile in zip(plan.pairs, tiles, strict=True):
-            computer.note_completed(pair, tile)
-        if computer.runner is None:
-            report.failure.attempts = len(pending)
+        computer.bind_resilience(config)
+        computer.note_resumed(resumed)
 
     def settle(index: int, tile: Tile | None) -> None:
         """Keep one completed pair's tile and journal it."""
@@ -605,14 +649,13 @@ def execute_plan(
             if checkpoint.pending() >= checkpoint_flush_pairs:
                 checkpoint.flush()
 
+    def finish_pair(index: int, result: _PairOutcome | Exception) -> None:
+        pair = plan.pairs[index]
+        finish(report, (pair.ti, pair.tj), result, partial(settle, index), guard)
+
     def run(index: int) -> None:
         assert computer is not None
-        pair = plan.pairs[index]
-        outcome = computer.run_pair(pair)
-        with guard:
-            _account(report, outcome.stats)
-        computer.note_completed(pair, outcome.tile)
-        settle(index, outcome.tile)
+        finish_pair(index, computer.run_pair(plan.pairs[index]))
 
     start = time.perf_counter()
     try:
@@ -635,7 +678,8 @@ def execute_plan(
                     at_a,
                     at_b,
                     [plan.pairs[index] for index in pending],
-                    lambda coords, tile: settle(index_of[coords], tile),
+                    lambda coords, result: finish_pair(index_of[coords], result),
+                    resumed,
                     report=report,
                     config=config,
                     cost_model=cost_model,
@@ -647,7 +691,7 @@ def execute_plan(
                     startup_grace_seconds=startup_grace_seconds,
                 )
             elif isinstance(report, ParallelReport):
-                _run_on_pool(run, pending, report.workers, plan, report.failure, guard)
+                _run_on_pool(run, finish_pair, pending, report.workers)
             else:
                 for index in pending:
                     run(index)
@@ -720,15 +764,13 @@ def _thread_busy_hook(
 
 def _run_on_pool(
     run: Callable[[int], None],
+    finish_pair: Callable[[int, Exception], None],
     pending: list[int],
     workers: int,
-    plan: ExecutionPlan,
-    failure: FailureReport,
-    guard: AbstractContextManager[object],
 ) -> None:
     """Run the pending pair indices on a ``workers``-sized thread pool.
 
-    A failing pair does not stop the others: its error is recorded and
+    A failing pair does not stop the others: its error is finished and
     the caller raises one aggregated error after the pool drains.
     """
 
@@ -740,9 +782,7 @@ def _run_on_pool(
             # started, and the caller re-raises after the drain.
             pass
         except Exception as error:  # noqa: BLE001 — aggregated after the pool drains
-            pair = plan.pairs[index]
-            with guard:
-                failure.record_error((pair.ti, pair.tj), error)
+            finish_pair(index, error)
 
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="team")
     try:
@@ -876,7 +916,7 @@ class ChainRun:
             record_tasks=True,
             cancel=self.cancel,
         )
-        computer.bind_resilience(self.config, report.failure)
+        computer.bind_resilience(self.config)
         self.computers.append(computer)
         self.reports.append(report)
         self.views.append(TileListView())
@@ -897,14 +937,20 @@ class ChainRun:
         A tile that differs from the ``recorded`` hop's raises
         :class:`~repro.errors.PlanMismatchError`; without one it is recorded.
         """
-        computer, report = self.computers[h], self.reports[h]
+        computer = self.computers[h]
         pair = computer.plan.pairs[p]
-        outcome = computer.run_pair(pair)
-        _account(report, outcome.stats)
-        if computer.runner is None:
-            report.failure.attempts += 1
-        tile = outcome.tile
-        computer.note_completed(pair, tile)
+        keep = partial(self._keep, h, p, recorded)
+        finish(self.reports[h], (pair.ti, pair.tj), computer.run_pair(pair), keep)
+        for dead in frees:
+            tiles = self.views[dead].tiles
+            self.current_bytes -= sum(t.memory_bytes() for t in tiles)
+            self.freed += len(tiles)
+            tiles.clear()
+            if self.obs is not None:
+                self.obs.metrics.counter("fused.intermediates_freed").inc()
+
+    def _keep(self, h: int, p: int, recorded: PlannedHop | None, tile: Tile | None) -> None:
+        """Check (or record) the tile pair ``p`` of hop ``h`` produced and keep it."""
         identity = _tile_identity(tile) if tile is not None else None
         if recorded is not None:
             index = recorded.tile_of_pair[p]
@@ -925,13 +971,6 @@ class ChainRun:
             if h != self.root:
                 self.current_bytes += tile.memory_bytes()
                 self.peak_bytes = max(self.peak_bytes, self.current_bytes)
-        for dead in frees:
-            tiles = self.views[dead].tiles
-            self.current_bytes -= sum(t.memory_bytes() for t in tiles)
-            self.freed += len(tiles)
-            tiles.clear()
-            if self.obs is not None:
-                self.obs.metrics.counter("fused.intermediates_freed").inc()
 
     def run_hop(
         self, plan: ExecutionPlan, a_source: HopSource, b_source: HopSource

@@ -56,9 +56,8 @@ class MultiplyOptions:
         Parallel backend: ``"threads"`` (default — one worker thread
         per simulated socket) or ``"processes"`` (the supervised
         multiprocess shard executor, see docs/RESILIENCE.md).  Ignored
-        by the sequential entry points.  When ``multiprocessing`` is
-        unavailable on the platform, ``"processes"`` falls back to
-        threads with a :class:`RuntimeWarning`.
+        by the sequential entry points.  Both backends return results
+        bit-identical to the sequential path.
     heartbeat_interval_seconds:
         Cadence of worker liveness heartbeats under
         ``execution="processes"``; a worker whose heartbeat goes stale

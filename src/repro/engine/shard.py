@@ -11,8 +11,8 @@ worker process needs — and deliberately imports no ``multiprocessing``
   exactly the paper's NUMA assignment), so one shard corresponds to one
   simulated socket;
 * :class:`ShardConfig` — the per-run contract handed to each worker:
-  system config, cost model, retry policy, heartbeat cadence and
-  fault-injection spec;
+  system config, cost model, retry policy, heartbeat cadence,
+  fault-injection spec and the pairs resumed from a checkpoint;
 * :func:`worker_main` — the worker entry point: start the heartbeat
   thread, then serve dispatched pairs until the ``None`` sentinel
   arrives.
@@ -28,11 +28,12 @@ that only it and the supervisor hold (a ``multiprocessing`` ``Pipe``;
 tests pass plain stubs).  The supervisor sends ``((ti, tj),
 dispatch_attempt)`` tasks and the ``None`` sentinel; the worker sends
 ``("beat", n)`` heartbeats from its heartbeat thread and one
-``("done", payload, tile)`` message per pair from its main thread, both
-under one send lock.  A worker killed mid-send leaves a truncated
-message on its own channel only, which the supervisor reads as the
-end of that worker.  The worker writes no file: results, statistics
-and fault events all travel in the done message.
+``("done", payload, result)`` message per pair from its main thread,
+both under one send lock: ``result`` is what ``run_pair`` returned,
+or a failed pair's record with the error's ``repr`` in the payload.
+A worker killed mid-send leaves a truncated message on its own channel
+only, which the supervisor reads as the end of that worker.  The
+worker writes no file.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from typing import Any, Protocol
 from ..config import SystemConfig
 from ..cost.model import CostModel
 from ..core.atmatrix import ATMatrix
-from ..core.tile import Tile
 from ..observe import session as observe_session
 from ..resilience import faults
 from ..resilience.faults import FaultPlanSpec, fire_worker_crash
-from ..resilience.report import FailureReport
+from ..resilience.report import PairOutcome
 from ..resilience.retry import RetryPolicy
-from .executor import PairComputer, check_plan_applies
+from .executor import PairComputer, _PairOutcome, check_plan_applies
 from .plan import ExecutionPlan, PlannedPair
 
 __all__ = [
@@ -91,6 +91,8 @@ class ShardConfig:
     #: rebuildable fault-injection schedule, when the supervising
     #: process had a plan active (``--inject-faults`` parity)
     fault_spec: FaultPlanSpec | None = None
+    #: ``(plan pair index, tile bytes)`` resumed from a checkpoint
+    resumed: tuple[tuple[int, int], ...] = ()
 
 
 def assign_shards(
@@ -148,37 +150,6 @@ class _Heartbeat:
             self._channel.send(("beat", self._beats))
 
 
-def _outcome_delta(
-    failure: FailureReport, before: tuple[int, int, int, int, int], coords: PairCoords
-) -> dict[str, Any]:
-    """The per-pair resilience counters accrued by the last ``run_pair``."""
-    attempts, retries, degradations, deadlines, fallbacks = before
-    recorded = failure.pair_outcomes.get(coords)
-    return {
-        # Without a retry policy nothing touches the counters; report
-        # the one attempt that ran so the aggregate matches the thread
-        # backend's "attempts == pairs" accounting.
-        "attempts": max(failure.attempts - attempts, 1),
-        "retries": failure.retries - retries,
-        "degradations": failure.degradations - degradations,
-        "deadline_violations": failure.deadline_violations - deadlines,
-        "fallbacks": failure.fallbacks - fallbacks,
-        "late": bool(recorded.late) if recorded is not None else False,
-        "failed": bool(recorded.failed) if recorded is not None else False,
-        "error": recorded.error if recorded is not None else None,
-    }
-
-
-def _failure_snapshot(failure: FailureReport) -> tuple[int, int, int, int, int]:
-    return (
-        failure.attempts,
-        failure.retries,
-        failure.degradations,
-        failure.deadline_violations,
-        failure.fallbacks,
-    )
-
-
 def worker_main(
     worker_id: int,
     channel: Channel,
@@ -197,12 +168,12 @@ def worker_main(
         task = channel.recv()         # ((ti, tj), dispatch_attempt)
         fire_worker_crash(...)        # injected SIGKILL, maybe
         outcome = computer.run_pair(pair)
-        channel.send(("done", payload, tile))   # stats, outcome, events
+        channel.send(("done", payload, outcome))   # + busy time, events
 
     Failures never escape: an exhausted retry budget (or any unexpected
-    exception) becomes a ``failed`` done message with no tile and the
-    worker moves on — dying is reserved for injected crashes and real
-    ones.
+    exception) becomes a done message carrying the error and the failed
+    record, and the worker moves on — dying is reserved for injected
+    crashes and real ones.
     """
     faults.clear_active()
     observe_session.clear()
@@ -219,7 +190,6 @@ def worker_main(
     fault_plan = (
         shard_config.fault_spec.build() if shard_config.fault_spec is not None else None
     )
-    failure = FailureReport()
     busy_cell = [0.0]
 
     def busy_hook(elapsed: float) -> None:
@@ -234,7 +204,8 @@ def worker_main(
         record_tasks=False,
         busy_hook=busy_hook,
     )
-    computer.bind_resilience(shard_config.config, failure)
+    computer.bind_resilience(shard_config.config)
+    computer.note_resumed(shard_config.resumed)
     events_shipped = 0
 
     def new_events() -> list[dict[str, Any]]:
@@ -252,35 +223,25 @@ def worker_main(
                 return
             coords, dispatch_attempt = task
             fire_worker_crash(coords, dispatch_attempt)
-            pair = pairs_by_coords[coords]
-            before = _failure_snapshot(failure)
             busy_before = busy_cell[0]
-            payload: dict[str, Any] = {
+            error: str | None = None
+            result: _PairOutcome | PairOutcome | None
+            try:
+                result = computer.run_pair(pairs_by_coords[coords])
+            except Exception as exc:  # noqa: BLE001 — shipped to the supervisor
+                error = repr(exc)
+                result = getattr(exc, "outcome", None)
+            payload = {
                 "worker": worker_id,
                 "pair": coords,
                 "dispatch_attempt": dispatch_attempt,
+                "error": error,
+                "busy_seconds": busy_cell[0] - busy_before,
+                "conversions": computer.conversions.conversions,
+                "events": new_events(),
             }
-            tile: Tile | None = None
-            try:
-                outcome = computer.run_pair(pair)
-            except Exception as error:  # noqa: BLE001 — shipped to the supervisor
-                payload.update(failed=True, error=repr(error))
-            else:
-                tile = outcome.tile
-                payload.update(
-                    failed=False,
-                    error=None,
-                    products=outcome.stats.products,
-                    kernel_counts=outcome.stats.kernel_counts,
-                )
-            payload.update(
-                outcome=_outcome_delta(failure, before, coords),
-                busy_seconds=busy_cell[0] - busy_before,
-                conversions=computer.conversions.conversions,
-                events=new_events(),
-            )
             with send_lock:
-                channel.send(("done", payload, tile))
+                channel.send(("done", payload, result))
 
     try:
         if fault_plan is not None:

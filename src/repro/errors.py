@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.report import BaseReport
+    from .resilience.report import PairOutcome
 
     #: ``(tile_row, tile_col)`` coordinates of a result-grid pair.
     PairCoords = tuple[int, int]
@@ -108,6 +109,9 @@ class TaskFailedError(ReproError, RuntimeError):
     report:
         The (partially populated) execution report of the failed run,
         so completed work and busy-time statistics are not lost.
+    outcome:
+        The failing task's :class:`~repro.resilience.report.PairOutcome`,
+        when its attempts were counted.
     """
 
     def __init__(
@@ -117,11 +121,13 @@ class TaskFailedError(ReproError, RuntimeError):
         pair: PairCoords | None = None,
         pair_errors: list[tuple[PairCoords, Exception]] | None = None,
         report: BaseReport | None = None,
+        outcome: PairOutcome | None = None,
     ) -> None:
         super().__init__(message)
         self.pair = pair
         self.pair_errors = list(pair_errors or [])
         self.report = report
+        self.outcome = outcome
 
 
 class RetryExhaustedError(TaskFailedError):
@@ -145,8 +151,9 @@ class RetryExhaustedError(TaskFailedError):
         attempts: int = 0,
         last_error: Exception | None = None,
         report: BaseReport | None = None,
+        outcome: PairOutcome | None = None,
     ) -> None:
-        super().__init__(message, pair=pair, report=report)
+        super().__init__(message, pair=pair, report=report, outcome=outcome)
         self.attempts = attempts
         self.last_error = last_error
 

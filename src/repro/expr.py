@@ -31,8 +31,8 @@ from .config import SystemConfig
 from .core.arith import add as at_add
 from .core.arith import scale as at_scale
 from .core.atmatrix import ATMatrix
-from .core.atmult import MatrixOperand, as_at_matrix
 from .core.chain import multiply_chain
+from .core.operands import MatrixOperand, as_at_matrix
 from .cost.model import CostModel
 from .engine.options import MultiplyOptions, reject_checkpoint
 from .errors import ShapeError

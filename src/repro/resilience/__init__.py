@@ -29,9 +29,10 @@ makes the engine safe to run unattended (see ``docs/RESILIENCE.md``):
   cooperative cancellation/deadline signal the executors poll at
   tile-pair boundaries (checkpoint flushed before the run unwinds).
 
-Pass ``resilience=RetryPolicy(...)`` to
-:func:`~repro.core.atmult.atmult` or
-:func:`~repro.core.parallel.parallel_atmult` to enable all of it.
+Pass ``options=MultiplyOptions(resilience=RetryPolicy(...))`` to any
+multiplication entry point (or set it on a :class:`~repro.Session`) to
+enable all of it; every backend runs the policy per pair in
+:meth:`~repro.engine.executor.PairComputer.run_pair`.
 """
 
 from .cancel import CancelToken

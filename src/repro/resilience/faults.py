@@ -37,9 +37,9 @@ reproduces the same pair-level failures under ``--execution=processes``
 as under threads.
 
 Hook points live in :func:`repro.kernels.registry.run_tile_product`
-(sites ``"kernel"`` pre-kernel and the post-kernel corruption hook) and
-in the pair loops of :mod:`repro.core.atmult` /
-:mod:`repro.core.parallel` (site ``"pair"``) and at the top of every
+(sites ``"kernel"`` pre-kernel and the post-kernel corruption hook), in
+:meth:`repro.engine.executor.PairComputer.compute`, which every
+backend's attempts run through (site ``"pair"``), and at the top of every
 solver iteration in :mod:`repro.solve` (site ``"iteration"``, extra =
 the iteration number).  The hooks are no-ops —
 one global ``None`` check — unless a plan is activated with

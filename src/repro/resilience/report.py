@@ -1,9 +1,10 @@
 """Structured failure accounting for resilient ATMULT runs.
 
-Both execution reports (:class:`~repro.core.atmult.MultiplyReport` and
-:class:`~repro.core.parallel.ParallelReport`) carry a
+Both execution reports (:class:`~repro.core.report.MultiplyReport` and
+:class:`~repro.core.report.ParallelReport`) carry a
 :class:`FailureReport` describing what went wrong and how it was
-handled: per-pair outcomes plus aggregate counters.  The invariant the
+handled: per-pair outcomes plus aggregate counters, merged on every
+backend by :func:`repro.engine.executor.finish`.  The invariant the
 resilience layer maintains is that every *raising* fault is accounted
 for exactly once::
 
@@ -112,25 +113,23 @@ class FailureReport:
             or self.pair_errors
         )
 
-    # Concurrent callers serialize these mutators externally: threaded
-    # retries go through ResilientPairRunner._finish (which holds its
-    # _lock) or the executor's busy_lock, and the supervisor's dispatch
-    # loop is the sole writer of its report.  The report itself stays a
-    # plain value object so it pickles cleanly across process shards.
+    # The only writer is the executor's finish step, under the thread
+    # backend's report lock ("finish report lock" below); elsewhere its
+    # caller is the sole writer.  The report stays a plain value object.
     def record_error(self, pair: tuple[int, int], error: BaseException) -> None:
-        self.pair_errors.append((pair, error))  # repro-lint: disable=RPR012
+        self.pair_errors.append((pair, error))  # repro-lint: disable=RPR012 (finish report lock)
 
     def merge_outcome(self, outcome: PairOutcome) -> None:
         """Fold one pair's outcome into the aggregate counters."""
-        self.attempts += outcome.attempts  # repro-lint: disable=RPR012
-        self.retries += outcome.retries  # repro-lint: disable=RPR012
-        self.degradations += outcome.degradations  # repro-lint: disable=RPR012
-        self.deadline_violations += (  # repro-lint: disable=RPR012
+        self.attempts += outcome.attempts  # repro-lint: disable=RPR012 (finish report lock)
+        self.retries += outcome.retries  # repro-lint: disable=RPR012 (finish report lock)
+        self.degradations += outcome.degradations  # repro-lint: disable=RPR012 (finish report lock)
+        self.deadline_violations += (  # repro-lint: disable=RPR012 (finish report lock)
             outcome.deadline_violations
         )
-        self.fallbacks += outcome.fallbacks  # repro-lint: disable=RPR012
+        self.fallbacks += outcome.fallbacks  # repro-lint: disable=RPR012 (finish report lock)
         if outcome.failed:
-            self.failures += 1  # repro-lint: disable=RPR012
+            self.failures += 1  # repro-lint: disable=RPR012 (finish report lock)
         if (
             outcome.retries
             or outcome.degradations
@@ -139,7 +138,7 @@ class FailureReport:
             or outcome.failed
             or outcome.late
         ):
-            self.pair_outcomes[outcome.pair] = outcome  # repro-lint: disable=RPR012
+            self.pair_outcomes[outcome.pair] = outcome  # repro-lint: disable=RPR012 (finish report lock)
 
     def summary(self) -> str:
         """One-line human-readable digest."""

@@ -6,11 +6,11 @@ number of attempts, exponential backoff between attempts with
 deterministic (seeded-hash) jitter, an optional per-attempt deadline,
 and a separate budget for memory-pressure degradations.
 
-:class:`ResilientPairRunner` implements the attempt loop shared by the
-sequential (:func:`repro.core.atmult.atmult`) and parallel
-(:func:`repro.core.parallel.parallel_atmult`) executors.  It is generic:
-the executor passes a ``compute(force_sparse)`` closure plus optional
-``validate``/``fallback`` closures, and the runner handles
+:class:`ResilientPairRunner` implements the attempt loop of
+:meth:`repro.engine.executor.PairComputer.run_pair`, which every
+execution backend runs per pair.  It is generic: the executor passes a
+``compute(force_sparse)`` closure plus optional ``validate``/``fallback``
+closures, and the runner handles
 
 * transient exceptions → bounded re-attempts (``retries``);
 * :class:`~repro.errors.MemoryLimitError` → degradation: notify the
@@ -23,13 +23,14 @@ the executor passes a ``compute(force_sparse)`` closure plus optional
 * guard violations → one re-execution through the reference kernel with
   fault injection suppressed (``fallbacks``).
 
-Exhaustion raises :class:`~repro.errors.RetryExhaustedError` carrying
-the pair coordinates, the attempt count, and the last error.
+It returns the pair's :class:`~repro.resilience.report.PairOutcome`
+with the result and merges nothing.  Exhaustion raises
+:class:`~repro.errors.RetryExhaustedError` carrying the pair
+coordinates, attempt count, last error and failed ``outcome``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from collections.abc import Callable
@@ -44,7 +45,7 @@ from ..errors import (
 from ..observe import session as observe_session
 from .degrade import DegradationState
 from .faults import stable_unit, suppress_faults, task_scope
-from .report import FailureReport, PairOutcome
+from .report import PairOutcome
 
 
 @dataclass(frozen=True)
@@ -127,25 +128,18 @@ class RetryPolicy:
 
 
 class ResilientPairRunner:
-    """Executes pair tasks under a :class:`RetryPolicy`.
-
-    One runner is shared by all workers of a run; it owns the lock that
-    guards the :class:`~repro.resilience.report.FailureReport`.
-    """
+    """Executes pair tasks under a :class:`RetryPolicy`; holds no run state."""
 
     def __init__(
         self,
         policy: RetryPolicy,
-        report: FailureReport,
         degradation: DegradationState | None = None,
         *,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.policy = policy
-        self.report = report
         self.degradation = degradation
         self._sleep = sleep
-        self._lock = threading.Lock()
 
     def run(
         self,
@@ -154,7 +148,7 @@ class ResilientPairRunner:
         *,
         validate: Callable[[Any], None] | None = None,
         fallback: Callable[[bool], Any] | None = None,
-    ) -> Any:
+    ) -> tuple[Any, PairOutcome]:
         """Run ``compute`` for one pair until it succeeds or the budget ends.
 
         ``compute(force_sparse)`` performs the pair's tile products from
@@ -163,6 +157,9 @@ class ResilientPairRunner:
         ``validate(result)`` may raise
         :class:`~repro.errors.ResultCorruptionError`; ``fallback`` is the
         reference re-execution used to recover from that.
+
+        Returns ``(result, outcome)``; on exhaustion the failed outcome
+        rides on the raised :class:`~repro.errors.RetryExhaustedError`.
         """
         policy = self.policy
         outcome = PairOutcome(pair=pair)
@@ -222,8 +219,7 @@ class ResilientPairRunner:
                     if fallback is not None and policy.fallback_to_reference:
                         with suppress_faults():
                             result = fallback(force_sparse)
-            self._finish(outcome)
-            return result
+            return result, outcome
 
     @staticmethod
     def _instant(event: str, pair: tuple[int, int], iteration: int) -> None:
@@ -236,20 +232,16 @@ class ResilientPairRunner:
                 {"ti": pair[0], "tj": pair[1], "attempt": iteration},
             )
 
-    def _finish(self, outcome: PairOutcome) -> None:
-        with self._lock:
-            self.report.merge_outcome(outcome)
-
     def _fail(
         self, outcome: PairOutcome, pair: tuple[int, int], attempts: int, error: BaseException
     ) -> None:
         outcome.failed = True
         outcome.error = repr(error)
         observe_session.counter("resilience.failures").inc()
-        self._finish(outcome)
         raise RetryExhaustedError(
             f"pair {pair} failed after {attempts} attempts: {error}",
             pair=pair,
             attempts=attempts,
             last_error=error,
+            outcome=outcome,
         ) from error

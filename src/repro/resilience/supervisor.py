@@ -8,8 +8,8 @@ worker processes (one shard per simulated socket,
 and operands as its process arguments (inherited under fork, pickled
 under spawn — never written to disk), supervises the workers with
 per-worker heartbeats, per-pair dispatch deadlines and liveness checks,
-and settles each finished pair through the executor's callback.  The
-report, checkpoint resume and flushing, the aggregated error, the
+and hands each finished pair to the executor's finish step.  Pair
+accounting, checkpoint resume and flushing, the aggregated error, the
 result matrix and the memory-SLA repair belong to the executor, shared
 with the in-process backends.
 
@@ -25,8 +25,8 @@ supervisor and that worker; the supervisor closes the worker's end in
 its own process right after the start.  Supervisor → worker:
 ``((ti, tj), dispatch_attempt)`` tasks and a ``None`` shutdown
 sentinel.  Worker → supervisor: ``("beat", n)`` heartbeats and one
-``("done", payload, tile)`` message per pair (statistics, resilience
-outcome, fault events and the result tile, see
+``("done", payload, result)`` message per pair (the worker's
+``run_pair`` result, busy time and fault events, see
 :mod:`repro.engine.shard`).  The supervisor blocks in
 ``multiprocessing.connection.wait`` on every channel and every process
 sentinel; the wait's timeout only bounds how quickly cancellation,
@@ -61,7 +61,6 @@ from collections.abc import Callable
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any
 
-from ..core.tile import Tile
 from ..errors import OperationCancelledError, TaskFailedError
 from ..observe import Observation
 from ..observe import session as observe_session
@@ -75,8 +74,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.atmatrix import ATMatrix
     from ..core.report import ParallelReport
     from ..cost.model import CostModel
+    from ..engine.executor import _PairOutcome
     from ..engine.plan import ExecutionPlan, PlannedPair
     from ..engine.shard import PairCoords
+
+    Finish = Callable[[PairCoords, _PairOutcome | Exception], None]
 
 __all__ = ["run_supervised"]
 
@@ -124,7 +126,8 @@ def run_supervised(
     at_a: ATMatrix,
     at_b: ATMatrix,
     pending: list[PlannedPair],
-    settle: Callable[[PairCoords, Tile | None], None],
+    finish: Finish,
+    resumed: list[tuple[int, int]],
     *,
     report: ParallelReport,
     config: SystemConfig,
@@ -140,12 +143,12 @@ def run_supervised(
 
     :func:`~repro.engine.executor.execute_plan` owns everything before
     and after: it begins and flushes the checkpoint, resumes, assembles
-    the result and raises the aggregated error.  Each completed pair's
-    tile (``None`` for an all-zero product) is handed to ``settle`` on
-    the calling thread as its done message arrives — the same step the
-    thread backend runs per pair.  This function accounts each pair on
-    ``report`` as it settles — per-pair outcomes, errors, busy time,
-    kernel and conversion counts, and the ``worker_deaths``,
+    the result and raises the aggregated error.  Each pair's outcome
+    (or error, for a failed or quarantined pair) goes to ``finish`` on
+    the calling thread as its done message arrives.  Workers spend the
+    ``resumed`` ``(plan pair index, tile bytes)`` from their budget
+    first.  This function accounts on ``report`` only what concerns
+    workers — busy time, conversion counts, and the ``worker_deaths``,
     ``pairs_reassigned``, ``pairs_quarantined`` and per-worker
     :class:`~repro.resilience.report.WorkerRecord` entries of
     ``report.failure`` — running ``report.workers`` workers at a time.
@@ -170,9 +173,10 @@ def run_supervised(
         resilience=resilience,
         heartbeat_interval=heartbeat_interval,
         fault_spec=parent_plan.spec() if parent_plan is not None else None,
+        resumed=tuple(resumed),
     )
     _supervise(
-        plan, at_a, at_b, pending, settle, shard_config, report,
+        plan, at_a, at_b, pending, finish, shard_config, report,
         obs, pair_deadline_seconds, startup_grace_seconds, cancel,
     )
 
@@ -188,7 +192,7 @@ def _supervise(
     at_a: ATMatrix,
     at_b: ATMatrix,
     pending: list[PlannedPair],
-    settle: Callable[[PairCoords, Tile | None], None],
+    finish: Finish,
     shard_config: Any,
     report: ParallelReport,
     obs: Observation | None,
@@ -267,7 +271,7 @@ def _supervise(
                 except OSError:
                     return  # it just died; the next drain buries it
 
-    def adopt(worker: _Worker, payload: dict[str, Any], tile: Tile | None) -> None:
+    def adopt(worker: _Worker, payload: dict[str, Any], result: Any) -> None:
         nonlocal settled
         coords: PairCoords = payload["pair"]
         # The worker serves its tasks in order, so this is the head.
@@ -275,7 +279,6 @@ def _supervise(
         if worker.in_flight:
             worker.in_flight[0][2] = time.monotonic()
         settled += 1
-        failure.merge_outcome(PairOutcome(pair=coords, **payload["outcome"]))
         parent_plan = active_plan()
         if parent_plan is not None and payload["events"]:
             parent_plan.absorb_wire(payload["events"])
@@ -287,16 +290,13 @@ def _supervise(
         worker_conversions[worker.worker_id] = payload["conversions"]
         if obs is not None:
             obs.metrics.counter(f"worker.busy_seconds.{lane}").inc(busy)
-        if payload["failed"]:
-            failure.record_error(
-                coords, TaskFailedError(str(payload["error"]), pair=coords)
-            )
-            return
-        settle(coords, tile)
-        report.products += payload["products"]
-        report.pairs_executed += 1
-        report.merge_kernel_counts(payload["kernel_counts"])
-        worker.record.pairs_completed += 1
+        error = payload["error"]
+        if error is not None:
+            # ``result`` is the failed record (None without a policy).
+            result = TaskFailedError(error, pair=coords, outcome=result)
+        else:
+            worker.record.pairs_completed += 1
+        finish(coords, result)
 
     def drain(worker: _Worker) -> bool:
         """Handle every message waiting on the channel; False once it closed."""
@@ -368,15 +368,13 @@ def _supervise(
             f"{kill_blame[coords]} workers",
             pair=coords,
         )
-        failure.merge_outcome(
-            PairOutcome(
-                pair=coords,
-                attempts=dispatch_counts.get(coords, 0),
-                failed=True,
-                error=repr(error),
-            )
+        error.outcome = PairOutcome(
+            pair=coords,
+            attempts=dispatch_counts.get(coords, 0),
+            failed=True,
+            error=repr(error),
         )
-        failure.record_error(coords, error)
+        finish(coords, error)
 
     try:
         for index in range(worker_count):

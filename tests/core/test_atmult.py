@@ -13,7 +13,7 @@ from repro import (
     atmult,
     build_at_matrix,
 )
-from repro.core.atmult import as_at_matrix, operand_density_map
+from repro.core.operands import as_at_matrix, operand_density_map
 from repro.errors import MemoryLimitError, ShapeError
 from repro.kinds import StorageKind
 

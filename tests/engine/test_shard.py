@@ -16,10 +16,8 @@ from repro.cost.model import CostModel
 from repro.engine import build_plan
 from repro.core.tile import Tile
 from repro.engine.shard import ShardConfig, assign_shards, worker_main
-from repro.engine.shard import _failure_snapshot, _outcome_delta
 from repro.errors import PlanMismatchError
 from repro.resilience import FaultPlanSpec, RetryPolicy
-from repro.resilience.report import FailureReport, PairOutcome
 
 from ..conftest import heterogeneous_array
 
@@ -97,27 +95,6 @@ class TestRunDirRoundTrip:
         assert rebuilt.worker_crash_pairs == ((1, 2),)
 
 
-class TestOutcomeDelta:
-    def test_without_policy_reports_the_one_attempt(self):
-        failure = FailureReport()
-        before = _failure_snapshot(failure)
-        delta = _outcome_delta(failure, before, (0, 0))
-        assert delta["attempts"] == 1
-        assert delta["failed"] is False
-        assert delta["error"] is None
-
-    def test_with_policy_reports_the_accrued_counters(self):
-        failure = FailureReport()
-        before = _failure_snapshot(failure)
-        failure.merge_outcome(
-            PairOutcome(pair=(1, 1), attempts=3, retries=2, late=True)
-        )
-        delta = _outcome_delta(failure, before, (1, 1))
-        assert delta["attempts"] == 3
-        assert delta["retries"] == 2
-        assert delta["late"] is True
-
-
 class _StubChannel:
     """A Channel fed from a list (dispatch ends with the sentinel)."""
 
@@ -155,14 +132,14 @@ class TestWorkerMainInProcess:
         done = [m for m in self.run_worker(planned, coords) if m[0] == "done"]
         # One done message per pair, in dispatch order.
         assert [message[1]["pair"] for message in done] == coords
-        for _, payload, tile in done:
-            assert payload["failed"] is False
+        for _, payload, outcome in done:
+            assert payload["error"] is None
             assert payload["worker"] == 0
             assert payload["dispatch_attempt"] == 1
-            assert payload["products"] >= 1
-            assert payload["outcome"]["attempts"] == 1
-            assert tile is None or isinstance(tile, Tile)
-        assert any(tile is not None for _, _, tile in done)
+            assert outcome.stats.products >= 1
+            assert outcome.record.attempts == 1
+            assert outcome.tile is None or isinstance(outcome.tile, Tile)
+        assert any(outcome.tile is not None for _, _, outcome in done)
 
     def test_heartbeats_are_sent_before_any_result(self, planned):
         _, plan = planned

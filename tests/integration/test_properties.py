@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import COOMatrix, SystemConfig, atmult, build_at_matrix, fixed_grid_at_matrix
-from repro.core.atmult import as_at_matrix
+from repro.core.operands import as_at_matrix
 from repro.formats import coo_to_csr, coo_to_dense
 
 SETTINGS = settings(

@@ -84,19 +84,20 @@ class TestFaultInjectionParity:
         at = build(heterogeneous_array(rng, 64, 64))
         policy = RetryPolicy(max_attempts=8)
 
-        def run(execution):
-            plan = FaultPlan(3, kernel_error_rate=0.2)
+        def run(execution, resilience=policy, **rates):
+            plan = FaultPlan(3, **rates)
             with inject_faults(plan):
                 result, report = parallel_atmult(
                     at, at, topology=TOPOLOGY,
                     options=process_options(
-                        execution=execution, resilience=policy
+                        execution=execution, resilience=resilience
                     ),
                 )
             return result, report, plan
 
-        threaded, thread_report, thread_plan = run("threads")
-        supervised, process_report, process_plan = run("processes")
+        rates = dict(kernel_error_rate=0.2, corruption_rate=0.1)
+        threaded, thread_report, thread_plan = run("threads", **rates)
+        supervised, process_report, process_plan = run("processes", **rates)
         np.testing.assert_array_equal(
             supervised.to_dense(), threaded.to_dense()
         )
@@ -109,3 +110,23 @@ class TestFaultInjectionParity:
             process_report.failure.retries == thread_report.failure.retries
         )
         assert process_report.failure.retries > 0
+        assert process_report.failure.fallbacks > 0
+        # Every counter, every per-pair outcome and the pair statistics
+        # agree too: both backends finish pairs through one step.
+        for counter in (
+            "attempts", "retries", "degradations", "deadline_violations",
+            "fallbacks", "failures",
+        ):
+            assert getattr(process_report.failure, counter) == getattr(
+                thread_report.failure, counter
+            ), counter
+        assert (
+            process_report.failure.pair_outcomes
+            == thread_report.failure.pair_outcomes
+        )
+        assert process_report.pairs_executed == thread_report.pairs_executed
+        assert process_report.products == thread_report.products
+        # Without a policy each pair counts the one attempt that ran.
+        for execution in ("threads", "processes"):
+            _, report, _ = run(execution, resilience=None)
+            assert report.failure.attempts == report.pairs

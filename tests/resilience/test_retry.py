@@ -15,12 +15,22 @@ from repro.resilience.retry import ResilientPairRunner, RetryPolicy
 
 
 def make_runner(policy, degradation=None):
+    """A runner whose returned (and raised) outcomes merge into ``report``."""
     report = FailureReport()
     sleeps = []
-    runner = ResilientPairRunner(
-        policy, report, degradation, sleep=sleeps.append
-    )
-    return runner, report, sleeps
+    runner = ResilientPairRunner(policy, degradation, sleep=sleeps.append)
+
+    class MergingRunner:
+        def run(self, *args, **kwargs):
+            try:
+                result, outcome = runner.run(*args, **kwargs)
+            except RetryExhaustedError as error:
+                report.merge_outcome(error.outcome)
+                raise
+            report.merge_outcome(outcome)
+            return result
+
+    return MergingRunner(), report, sleeps
 
 
 class TestRetryPolicyValidation:

@@ -8,6 +8,7 @@ checkpoint cadence and resume, and what a run leaves behind.
 
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -26,13 +27,14 @@ from repro import COOMatrix, SystemConfig, SystemTopology, atmult, build_at_matr
 from repro.core.parallel import parallel_atmult
 from repro.engine import MultiplyOptions
 from repro.errors import TaskFailedError
-from repro.resilience import FaultPlan, inject_faults
+from repro.resilience import FaultPlan, RetryPolicy, inject_faults
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.report import WorkerRecord
 
 from ..conftest import heterogeneous_array
 
 CONFIG = SystemConfig(llc_bytes=8 * 1024, b_atomic=16)
+PRESSURE_CONFIG = SystemConfig(llc_bytes=16 * 1024, b_atomic=16)
 TOPOLOGY = SystemTopology(sockets=2, cores_per_socket=2)
 
 
@@ -205,6 +207,76 @@ class TestSupervisedMemoryLimit:
         np.testing.assert_array_equal(
             supervised.to_dense(), threaded.to_dense()
         )
+
+    @staticmethod
+    def pressured_operand():
+        # Four 64² dense blocks over a 2 % background: under a 520 kB
+        # limit the self-product degrades once mid-run.
+        rng = np.random.default_rng(3)
+        a = np.zeros((256, 256))
+        for _ in range(4):
+            i, j = rng.integers(0, 256 - 64, 2)
+            a[i : i + 64, j : j + 64] = rng.random((64, 64))
+        mask = rng.random(a.shape) < 0.02
+        a[mask] = rng.random(mask.sum())
+        return build_at_matrix(COOMatrix.from_dense(a), PRESSURE_CONFIG)
+
+    @staticmethod
+    def pressured_options(**overrides):
+        return process_options(
+            config=PRESSURE_CONFIG, workers=1, memory_limit_bytes=520_000,
+            resilience=RetryPolicy(), **overrides,
+        )
+
+    def test_one_worker_degrades_where_threads_do(self):
+        at = self.pressured_operand()
+        runs = {
+            "sequential": atmult(at, at, options=self.pressured_options()),
+        }
+        for execution in ("threads", "processes"):
+            runs[execution] = parallel_atmult(
+                at, at, topology=TOPOLOGY,
+                options=self.pressured_options(execution=execution),
+            )
+        sequential, _ = runs["sequential"]
+        for execution, (result, report) in runs.items():
+            assert report.failure.degradations == 1, execution
+            assert [tile.kind for tile in result.tiles] == [
+                tile.kind for tile in sequential.tiles
+            ], execution
+            assert result.memory_bytes() == sequential.memory_bytes(), execution
+            assert (
+                result.to_dense().tobytes() == sequential.to_dense().tobytes()
+            ), execution
+
+    def test_resumed_process_run_degrades_where_threads_do(self, tmp_path):
+        at = self.pressured_operand()
+        journal = tmp_path / "journal"
+        parallel_atmult(
+            at, at, topology=TOPOLOGY,
+            options=self.pressured_options(
+                execution="threads", checkpoint=CheckpointStore(journal)
+            ),
+        )
+        records = sorted(journal.glob("pairs/pair-*.npz"))
+        for record in records[len(records) // 2 :]:
+            record.unlink()
+        degradations = {}
+        for execution in ("threads", "processes"):
+            # Each resume gets its own copy of the half journal.
+            copy = tmp_path / execution
+            shutil.copytree(journal, copy)
+            _, report = parallel_atmult(
+                at, at, topology=TOPOLOGY,
+                options=self.pressured_options(
+                    execution=execution,
+                    checkpoint=CheckpointStore(copy, resume=True),
+                ),
+            )
+            assert report.failure.pairs_resumed == len(records) // 2
+            degradations[execution] = report.failure.degradations
+        assert degradations["threads"] >= 1
+        assert degradations["processes"] == degradations["threads"]
 
 
 class TestSupervisedCheckpoint:
