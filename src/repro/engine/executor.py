@@ -545,7 +545,7 @@ def execute_plan(
       :func:`repro.resilience.supervisor.run_supervised` — worker
       processes with ``heartbeat_interval``-spaced liveness reporting,
       an optional per-pair dispatch deadline and
-      ``startup_grace_seconds`` for a fresh worker's first heartbeat —
+      ``startup_grace_seconds`` for a run's first heartbeat —
       and returns a :class:`ParallelReport` that also carries the
       worker records, deaths and reassignments.
 

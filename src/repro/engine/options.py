@@ -88,10 +88,11 @@ class MultiplyOptions:
         :class:`~repro.errors.OperationCancelledError` /
         :class:`~repro.errors.DeadlineExceededError`.
     startup_grace_seconds:
-        Under ``execution="processes"``, how long a freshly spawned
-        worker may take to post its first heartbeat before it is
-        declared stale (covers interpreter + import cost on cold
-        machines).
+        Under ``execution="processes"``, how long a worker may take to
+        post the first heartbeat of a run before it is declared stale.
+        Only a freshly started worker comes near it (interpreter +
+        import cost on cold machines); a warm one from an earlier call
+        beats as soon as it has unpickled the run.
     """
 
     config: SystemConfig | None = None

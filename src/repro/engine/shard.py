@@ -13,27 +13,32 @@ worker process needs — and deliberately imports no ``multiprocessing``
 * :class:`ShardConfig` — the per-run contract handed to each worker:
   system config, cost model, retry policy, heartbeat cadence,
   fault-injection spec and the pairs resumed from a checkpoint;
-* :func:`worker_main` — the worker entry point: start the heartbeat
-  thread, then serve dispatched pairs until the ``None`` sentinel
-  arrives.
+* :func:`worker_main` — the worker entry point: serve runs until the
+  supervisor shuts the worker down.
 
-The plan, the operands and the :class:`ShardConfig` reach a worker as
-its process arguments: a forked worker maps the supervisor's pages and
-copies nothing, and under the spawn start method ``multiprocessing``
-pickles them once per worker (pickle's memo keeps a self-product's
-``at_b is at_a``).
+A worker lives across runs, like the paper's per-socket worker teams,
+which stay up for the whole computation.  It talks to the supervisor
+over one duplex :class:`Channel` that only it and the supervisor hold
+(a ``multiprocessing`` ``Pipe``; tests pass plain stubs).  A run is:
 
-Each worker talks to the supervisor over one duplex :class:`Channel`
-that only it and the supervisor hold (a ``multiprocessing`` ``Pipe``;
-tests pass plain stubs).  The supervisor sends ``((ti, tj),
-dispatch_attempt)`` tasks and the ``None`` sentinel; the worker sends
-``("beat", n)`` heartbeats from its heartbeat thread and one
-``("done", payload, result)`` message per pair from its main thread,
-both under one send lock: ``result`` is what ``run_pair`` returned,
-or a failed pair's record with the error's ``repr`` in the payload.
-A worker killed mid-send leaves a truncated message on its own channel
-only, which the supervisor reads as the end of that worker.  The
-worker writes no file.
+* supervisor → worker: one run message ``(plan, at_a, at_b,
+  shard_config)``, pickled the same way for a fresh worker and a warm
+  one (pickle's memo keeps a self-product's ``at_b is at_a``), then
+  ``((ti, tj), dispatch_attempt)`` tasks, then the ``None`` end-of-run
+  sentinel;
+* worker → supervisor: ``("beat", n)`` heartbeats (``n`` counts this
+  run's beats from 1) from the run's heartbeat thread and one
+  ``("done", payload, result)`` message per pair from the main
+  thread, both under one send lock — ``result`` is what ``run_pair``
+  returned, or a failed pair's record with the error's ``repr`` in
+  the payload — and, after the end sentinel, ``("ended",)`` once the
+  heartbeat thread has stopped.
+
+Between runs the worker holds nothing of the last one and sends
+nothing; a ``None`` in place of a run message shuts it down.  A worker
+killed mid-send leaves a truncated message on its own channel only,
+which the supervisor reads as the end of that worker.  The worker
+writes no file.
 """
 
 from __future__ import annotations
@@ -70,8 +75,8 @@ ShardTask = tuple[PairCoords, int]
 class Channel(Protocol):
     """A worker's end of its duplex supervisor channel."""
 
-    def recv(self) -> ShardTask | None:  # pragma: no cover - protocol
-        """Block until the next task (or the ``None`` shutdown sentinel)."""
+    def recv(self) -> Any:  # pragma: no cover - protocol
+        """Block until the next run message, task or ``None`` sentinel."""
         ...
 
     def send(self, message: Any) -> None:  # pragma: no cover - protocol
@@ -93,6 +98,11 @@ class ShardConfig:
     fault_spec: FaultPlanSpec | None = None
     #: ``(plan pair index, tile bytes)`` resumed from a checkpoint
     resumed: tuple[tuple[int, int], ...] = ()
+
+
+#: What starts a run on a worker: the plan, both operands and the
+#: per-run contract.
+RunMessage = tuple[ExecutionPlan, ATMatrix, ATMatrix, ShardConfig]
 
 
 def assign_shards(
@@ -150,35 +160,51 @@ class _Heartbeat:
             self._channel.send(("beat", self._beats))
 
 
-def worker_main(
-    worker_id: int,
-    channel: Channel,
-    plan: ExecutionPlan,
-    at_a: ATMatrix,
-    at_b: ATMatrix,
-    shard_config: ShardConfig,
-) -> None:
-    """One supervised worker: serve dispatched pairs until the sentinel.
+def worker_main(worker_id: int, channel: Channel) -> None:
+    """One long-lived supervised worker: serve runs until shutdown.
 
-    Lifecycle: reset inherited process-global state (a forked child
-    shares the parent's fault plan and observation objects), check the
-    plan against the operands it arrived with, start the heartbeat
-    thread, install the shipped fault spec, then loop::
+    Resets inherited process-global state once (a forked child shares
+    the parent's fault plan and observation objects), then serves runs
+    until a ``None`` arrives between them.  ``worker_id`` names this
+    process in its done messages; the supervisor numbers the workers of
+    each run itself.
+    """
+    faults.clear_active()
+    observe_session.clear()
+    while _serve_run(worker_id, channel):
+        pass
+
+
+def _serve_run(worker_id: int, channel: Channel) -> bool:
+    """Serve one run from its run message to its end sentinel.
+
+    Returns False when the shutdown ``None`` arrives instead of a run
+    message.  Everything the run needs — operands, ``PairComputer``,
+    fault plan, heartbeat thread — is local here, so an idle worker
+    holds none of it.  Lifecycle: check the plan against the operands
+    it arrived with, start the heartbeat thread, install the shipped
+    fault spec, then loop::
 
         task = channel.recv()         # ((ti, tj), dispatch_attempt)
         fire_worker_crash(...)        # injected SIGKILL, maybe
         outcome = computer.run_pair(pair)
         channel.send(("done", payload, outcome))   # + busy time, events
 
-    Failures never escape: an exhausted retry budget (or any unexpected
-    exception) becomes a done message carrying the error and the failed
-    record, and the worker moves on — dying is reserved for injected
-    crashes and real ones.
+    and on the ``None`` end sentinel stop the heartbeat and send
+    ``("ended",)``, the run's last message.
+
+    Failures never escape a pair: an exhausted retry budget (or any
+    unexpected exception) becomes a done message carrying the error and
+    the failed record, and the worker moves on — dying is reserved for
+    injected crashes, real ones and a plan that does not fit its
+    operands.
     """
-    faults.clear_active()
-    observe_session.clear()
+    run: RunMessage | None = channel.recv()
+    if run is None:
+        return False
+    plan, at_a, at_b, shard_config = run
     # Cheap: planning cached both fingerprints on the operands, and the
-    # cache travels with them (inherited or pickled).
+    # cache travels with them in the pickle.
     check_plan_applies(plan, at_a, at_b)
     send_lock = threading.Lock()
     heartbeat = _Heartbeat(channel, send_lock, shard_config.heartbeat_interval)
@@ -218,7 +244,7 @@ def worker_main(
 
     def serve() -> None:
         while True:
-            task = channel.recv()
+            task: ShardTask | None = channel.recv()
             if task is None:
                 return
             coords, dispatch_attempt = task
@@ -251,3 +277,7 @@ def worker_main(
             serve()
     finally:
         heartbeat.stop()
+    # The heartbeat thread has stopped: nothing follows this on the
+    # channel until the next run message.
+    channel.send(("ended",))
+    return True

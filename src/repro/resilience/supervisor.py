@@ -4,36 +4,58 @@
 ``execution="processes"`` in
 :func:`~repro.engine.executor.execute_plan`: it shards them across OS
 worker processes (one shard per simulated socket,
-:func:`~repro.engine.shard.assign_shards`), hands each worker the plan
-and operands as its process arguments (inherited under fork, pickled
-under spawn — never written to disk), supervises the workers with
-per-worker heartbeats, per-pair dispatch deadlines and liveness checks,
-and hands each finished pair to the executor's finish step.  Pair
-accounting, checkpoint resume and flushing, the aggregated error, the
-result matrix and the memory-SLA repair belong to the executor, shared
-with the in-process backends.
+:func:`~repro.engine.shard.assign_shards`), sends each worker the plan
+and operands in a run message (pickled once per run — never written to
+disk), supervises the workers with per-worker heartbeats, per-pair
+dispatch deadlines and liveness checks, and hands each finished pair to
+the executor's finish step.  Pair accounting, checkpoint resume and
+flushing, the aggregated error, the result matrix and the memory-SLA
+repair belong to the executor, shared with the in-process backends.
 
 This is the **only** module in ``src/repro`` allowed to import
 ``multiprocessing`` (repro-lint rule RPR008): process lifecycle is a
 resilience concern, and confining it here keeps every other layer
 testable in-process.
 
+Worker lifecycle
+----------------
+Workers outlive the call that started them, as the paper's per-socket
+worker teams outlive one tile pair.  A run takes live workers from a
+lock-guarded idle list first and forks (or, without fork, spawns) only
+the missing ones, so fork and interpreter start-up are paid by the
+first process-backend call of a process, not by every call.  When a run
+settles every pair, its surviving workers end the run and go back on
+the idle list, which keeps at most that run's worker count; the rest
+are shut down.  A worker that was buried — it exited, hung, overran a
+pair deadline or was killed by an injected crash — or that belonged to
+a cancelled, interrupted or failed run never serves again.  The idle
+list is shut down at interpreter exit (shutdown message, join, kill
+after :data:`_STOP_SECONDS`), and a forked child starts with an empty
+one, so it never dispatches to its parent's workers.  Workers ignore
+SIGINT: Ctrl-C at the caller's terminal reaches idle workers too, and
+the supervisor ends its workers itself.  Nothing forks at import time.
+
 Supervision protocol
 --------------------
 One duplex ``multiprocessing`` ``Pipe`` per worker, held only by the
 supervisor and that worker; the supervisor closes the worker's end in
-its own process right after the start.  Supervisor → worker:
-``((ti, tj), dispatch_attempt)`` tasks and a ``None`` shutdown
-sentinel.  Worker → supervisor: ``("beat", n)`` heartbeats and one
+its own process right after the start.  Supervisor → worker: a run
+message ``(plan, at_a, at_b, shard_config)``, then
+``((ti, tj), dispatch_attempt)`` tasks, then a ``None`` end-of-run
+sentinel; a ``None`` between runs shuts the worker down.  Worker →
+supervisor: ``("beat", n)`` heartbeats counted from 1 in every run, one
 ``("done", payload, result)`` message per pair (the worker's
 ``run_pair`` result, busy time and fault events, see
-:mod:`repro.engine.shard`).  The supervisor blocks in
-``multiprocessing.connection.wait`` on every channel and every process
-sentinel; the wait's timeout only bounds how quickly cancellation,
-deadlines and heartbeat staleness are noticed.  A channel shares no
-state with any other worker's, so a SIGKILLed worker can corrupt
-nothing but its own, which the supervisor then reads as end-of-file.
-Nothing is written to disk: a caller's
+:mod:`repro.engine.shard`) and, after the end sentinel, ``("ended",)``
+once its heartbeat thread has stopped.  The supervisor reads up to that
+acknowledgement before it puts the worker on the idle list, so an idle
+worker's channel is empty and stays silent, and the next run reads no
+stale beat.  The supervisor blocks in ``multiprocessing.connection.wait``
+on every channel and every process sentinel; the wait's timeout only
+bounds how quickly cancellation, deadlines and heartbeat staleness are
+noticed.  A channel shares no state with any other worker's, so a
+SIGKILLed worker can corrupt nothing but its own, which the supervisor
+then reads as end-of-file.  Nothing is written to disk: a caller's
 :class:`~repro.resilience.checkpoint.CheckpointStore` is written by the
 executor's settle step, in the caller's process, at the caller's
 ``checkpoint_flush_pairs`` cadence.
@@ -48,17 +70,23 @@ reassigned to surviving workers; a pair whose execution killed its
 worker twice is *quarantined* — recorded as a failed
 :class:`~repro.resilience.report.PairOutcome` instead of retried
 forever.  When no workers survive and work remains, a replacement
-worker is spawned.  Recomputing a reassigned pair is deterministic, and
+worker is taken from the idle list or started.  Recomputing a reassigned pair is deterministic, and
 tiles cross the channel as pickled exact float bytes, so results stay
 bit-identical to the in-process backends.
 """
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import multiprocessing
+import os
+import signal
+import threading
 import time
 from collections.abc import Callable
 from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
 from typing import TYPE_CHECKING, Any
 
 from ..errors import OperationCancelledError, TaskFailedError
@@ -94,6 +122,85 @@ _QUARANTINE_KILLS = 2
 #: deadlines and heartbeat staleness are checked again.
 _WAIT_SECONDS = 0.05
 
+#: How long (seconds) workers get to acknowledge the end of a run, or
+#: to exit after the shutdown message, before they are killed.
+_STOP_SECONDS = 10.0
+
+#: A warm worker between runs: ``(process, channel)``.
+IdleWorker = tuple[Any, Any]
+
+#: Warm workers waiting for the next run, most recently used last,
+#: guarded by ``_idle_lock``.
+_idle: list[IdleWorker] = []
+_idle_lock = threading.Lock()
+
+#: Names the worker processes this process starts.
+_process_ids = itertools.count()
+
+
+def _take_idle() -> IdleWorker | None:
+    """A live idle worker, or None; idle workers found dead are reaped."""
+    while True:
+        with _idle_lock:
+            if not _idle:
+                return None
+            process, channel = _idle.pop()
+        # An idle worker sends nothing, so a readable channel means it
+        # is gone (end-of-file).
+        if process.is_alive() and not channel.poll():
+            return process, channel
+        _shut_down([(process, channel)])
+
+
+def _give_back(warm: list[IdleWorker], keep: int) -> None:
+    """Put a run's quiet workers on the idle list, keeping at most ``keep``.
+
+    The list is taken from its end, so the longest-idle workers are the
+    ones shut down.
+    """
+    with _idle_lock:
+        _idle.extend(warm)
+        cut = max(0, len(_idle) - keep)
+        extra = _idle[:cut]
+        del _idle[:cut]
+    _shut_down(extra)
+
+
+def _shut_down(idle: list[IdleWorker]) -> None:
+    """Shut idle workers down: shutdown message, join, close."""
+    for _process, channel in idle:
+        try:
+            channel.send(None)
+        except OSError:
+            pass  # already dead
+    deadline = time.monotonic() + _STOP_SECONDS
+    for process, channel in idle:
+        process.join(timeout=max(0.0, deadline - time.monotonic()))
+        if process.is_alive():  # pragma: no cover - stuck worker backstop
+            process.kill()
+            process.join(timeout=5.0)
+        channel.close()
+        if process.exitcode is not None:
+            process.close()
+
+
+def _shutdown_idle() -> None:
+    """Shut down every idle worker (at exit; tests call it for isolation)."""
+    _give_back([], keep=0)
+
+
+def _forget_idle() -> None:
+    """In a forked child: the parent's idle workers are not this process's."""
+    global _idle_lock
+    _idle_lock = threading.Lock()
+    for _process, channel in _idle:
+        channel.close()
+    _idle.clear()
+
+
+atexit.register(_shutdown_idle)
+os.register_at_fork(after_in_child=_forget_idle)
+
 
 class _Worker:
     """Supervisor-side state of one worker process."""
@@ -119,6 +226,13 @@ class _Worker:
         self.channel.close()
         if self.process.exitcode is not None:
             self.process.close()
+
+    def kill(self) -> None:
+        """Kill, join and release a worker that must not serve again."""
+        if self.alive():
+            self.process.kill()
+        self.process.join(timeout=5.0)
+        self.release()
 
 
 def run_supervised(
@@ -157,8 +271,9 @@ def run_supervised(
     timeout: workers are killed, done messages already in their
     channels are settled, and the run unwinds with
     :class:`~repro.errors.OperationCancelledError`.
-    ``startup_grace_seconds`` bounds how long a fresh worker may take
-    to send its first heartbeat.
+    ``startup_grace_seconds`` bounds how long a worker may take to send
+    the first heartbeat of the run; only a freshly started worker, which
+    still has to fork or start an interpreter, comes near it.
     """
     # Imported here, not at module top: engine.shard pulls in the
     # executor, which lazily imports this module for mode dispatch.
@@ -187,6 +302,37 @@ def _make_context() -> Any:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+def _start(ctx: Any) -> IdleWorker:
+    """Start one fresh worker process, waiting for its first run."""
+    process_id = next(_process_ids)
+    channel, worker_end = ctx.Pipe()
+    process = ctx.Process(
+        target=_worker_process,
+        args=(process_id, worker_end),
+        name=f"repro-shard-{process_id}",
+        daemon=True,
+    )
+    try:
+        process.start()
+    finally:
+        # The worker holds the only other copy, so its death reads as
+        # end-of-file on ``channel``.
+        worker_end.close()
+    return process, channel
+
+
+def _worker_process(process_id: int, channel: Any) -> None:
+    """A worker process's entry point: the shard protocol, without Ctrl-C.
+
+    Ctrl-C at the caller's terminal reaches the whole process group, idle
+    workers included; the supervisor ends its workers itself.
+    """
+    from ..engine import shard
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    shard.worker_main(process_id, channel)
+
+
 def _supervise(
     plan: ExecutionPlan,
     at_a: ATMatrix,
@@ -206,6 +352,8 @@ def _supervise(
     failure = report.failure
     worker_count = report.workers
     ctx = _make_context()
+    # Pickled once for every worker of the run, replacements included.
+    run_message = ForkingPickler.dumps((plan, at_a, at_b, shard_config))
     shards = shard.assign_shards(pending, worker_count)
     #: pairs killed back into the pool by a worker death, dispatched first
     retry_pool: list[PairCoords] = []
@@ -216,27 +364,22 @@ def _supervise(
     next_worker_id = 0
     workers: dict[int, _Worker] = {}
 
-    def spawn_worker(shard_index: int) -> _Worker:
+    def spawn_workers(shard_indices: list[int]) -> None:
+        """Start a run on warm idle workers, forking only the missing ones."""
         nonlocal next_worker_id
-        worker_id = next_worker_id
-        next_worker_id += 1
-        channel, worker_end = ctx.Pipe()
-        process = ctx.Process(
-            target=shard.worker_main,
-            args=(worker_id, worker_end, plan, at_a, at_b, shard_config),
-            name=f"repro-shard-{worker_id}",
-            daemon=True,
-        )
-        try:
-            process.start()
-        finally:
-            # The worker holds the only other copy, so its death reads
-            # as end-of-file on ``channel``.
-            worker_end.close()
-        worker = _Worker(worker_id, process, channel, shard_index)
-        workers[worker_id] = worker
-        failure.workers[worker_id] = worker.record
-        return worker
+        for shard_index in shard_indices:
+            warm = _take_idle()
+            process, channel = warm if warm is not None else _start(ctx)
+            worker = _Worker(next_worker_id, process, channel, shard_index)
+            next_worker_id += 1
+            workers[worker.worker_id] = worker
+            failure.workers[worker.worker_id] = worker.record
+            # A fresh worker unpickles its run while the next one forks.
+            try:
+                channel.send_bytes(run_message)
+            except OSError:
+                continue  # it just died; the next drain buries it
+            top_up(worker)
 
     def next_task(worker: _Worker) -> PairCoords | None:
         if retry_pool:
@@ -298,31 +441,67 @@ def _supervise(
             worker.record.pairs_completed += 1
         finish(coords, result)
 
+    def note_beat(worker: _Worker, beat: int) -> None:
+        worker.record.heartbeats = beat
+        worker.last_beat_change = time.monotonic()
+        if obs is not None:
+            obs.tracer.instant(
+                "worker.heartbeat", "shard",
+                {"worker": worker.worker_id, "beat": beat},
+            )
+
     def drain(worker: _Worker) -> bool:
         """Handle every message waiting on the channel; False once it closed."""
-        try:
-            while worker.channel.poll():
+        while True:
+            try:
+                if not worker.channel.poll():
+                    return True
                 message = worker.channel.recv()
-                if message[0] == "done":
-                    adopt(worker, message[1], message[2])
-                    continue
-                worker.record.heartbeats = message[1]
-                worker.last_beat_change = time.monotonic()
-                if obs is not None:
-                    obs.tracer.instant(
-                        "worker.heartbeat", "shard",
-                        {"worker": worker.worker_id, "beat": message[1]},
-                    )
+            except (EOFError, OSError):
+                # The worker is gone (a truncated last message included).
+                return False
+            # Outside the try: an error settling the pair (say, the
+            # caller's checkpoint failing to write) is the run's, not a
+            # sign that the worker died.
+            if message[0] == "done":
+                adopt(worker, message[1], message[2])
+            else:
+                note_beat(worker, message[1])
+
+    def ended(worker: _Worker) -> bool:
+        """Read the run's last beats up to the worker's ``("ended",)``."""
+        deadline = time.monotonic() + _STOP_SECONDS
+        try:
+            while worker.channel.poll(max(0.0, deadline - time.monotonic())):
+                message = worker.channel.recv()
+                if message[0] == "ended":
+                    return True
+                note_beat(worker, message[1])
         except (EOFError, OSError):
-            # The worker is gone (a truncated last message included).
-            return False
-        return True
+            pass
+        return False
+
+    def retire(survivors: list[_Worker]) -> None:
+        """End the run on its surviving workers and keep them warm."""
+        for worker in survivors:
+            try:
+                worker.channel.send(None)
+            except OSError:
+                pass  # dead: ended() reads its end-of-file
+        warm: list[IdleWorker] = []
+        for worker in survivors:
+            if ended(worker):
+                warm.append((worker.process, worker.channel))
+            else:
+                worker.kill()
+        _give_back(warm, keep=worker_count)
 
     def hung_for(worker: _Worker, now: float) -> float | None:
         """Seconds since the last heartbeat, when that is too long."""
         stale_after = max(_HEARTBEAT_GRACE * shard_config.heartbeat_interval, 1.0)
         if worker.record.heartbeats == 0:
-            # No first beat yet: the worker is still importing/starting.
+            # No beat in this run yet: the worker is starting up or
+            # unpickling the run message.
             stale_after = max(stale_after, startup_grace_seconds)
         silent = now - worker.last_beat_change
         return silent if silent > stale_after else None
@@ -376,9 +555,9 @@ def _supervise(
         )
         finish(coords, error)
 
+    clean = False
     try:
-        for index in range(worker_count):
-            top_up(spawn_worker(index))
+        spawn_workers(list(range(worker_count)))
         while settled < len(pending):
             if cancel is not None:
                 cancel.check()
@@ -409,7 +588,8 @@ def _supervise(
                     continue
                 top_up(worker)
             if settled < len(pending) and not workers:
-                top_up(spawn_worker(0))
+                spawn_workers([0])
+        clean = True
     except (KeyboardInterrupt, OperationCancelledError):
         for worker in workers.values():
             worker.process.kill()
@@ -419,16 +599,11 @@ def _supervise(
             drain(worker)
         raise
     finally:
-        for worker in workers.values():
-            try:
-                worker.channel.send(None)
-            except OSError:
-                pass  # already dead: killed on the way out
-        deadline = time.monotonic() + 10.0
-        for worker in workers.values():
-            worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if worker.alive():  # pragma: no cover - stuck worker backstop
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
-            worker.release()
+        # Only a run that settled every pair hands its workers on; the
+        # workers of a cancelled or failed run may be mid-pair.
+        if clean:
+            retire(list(workers.values()))
+        else:
+            for worker in workers.values():
+                worker.kill()
     report.conversions = sum(worker_conversions.values())

@@ -42,6 +42,21 @@ def _lock_order_sanitizer():
 
 
 @pytest.fixture
+def fresh_shard_workers():
+    """Start and end a test with no idle shard worker process.
+
+    Process-backend runs keep their workers warm for the next run; a
+    test that counts processes, pids or descriptors, or changes how
+    workers start, must not inherit another test's workers.
+    """
+    from repro.resilience import supervisor
+
+    supervisor._shutdown_idle()
+    yield
+    supervisor._shutdown_idle()
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 

@@ -1,9 +1,9 @@
 """Tests for the worker-side shard protocol (no processes involved).
 
 Everything here runs in-process: ``worker_main`` is driven by a stub
-:class:`Channel` and handed its plan and operands directly, so the
-heartbeat and done messages and the fault-spec plumbing are all
-exercised without ``multiprocessing``.
+:class:`Channel` that feeds it a run message with its plan and operands,
+so the heartbeat, done and end-of-run messages and the fault-spec
+plumbing are all exercised without ``multiprocessing``.
 """
 
 import pickle
@@ -20,6 +20,8 @@ from repro.errors import PlanMismatchError
 from repro.resilience import FaultPlanSpec, RetryPolicy
 
 from ..conftest import heterogeneous_array
+
+pytestmark = pytest.mark.usefixtures("fresh_shard_workers")
 
 CONFIG = SystemConfig(llc_bytes=8 * 1024, b_atomic=16)
 
@@ -66,7 +68,7 @@ class TestAssignShards:
 
 
 class TestRunDirRoundTrip:
-    """What a spawned worker receives must survive a pickle round trip."""
+    """What every worker receives must survive a pickle round trip."""
 
     def shard_config(self, **overrides):
         defaults = dict(
@@ -96,14 +98,18 @@ class TestRunDirRoundTrip:
 
 
 class _StubChannel:
-    """A Channel fed from a list (dispatch ends with the sentinel)."""
+    """A Channel fed ``runs`` runs, then shutdown.
 
-    def __init__(self, tasks):
-        self._tasks = list(tasks) + [None]
+    Each run is the run message, the tasks and the ``None`` that ends
+    the run; a last ``None`` shuts the worker down.
+    """
+
+    def __init__(self, run, tasks, runs=1):
+        self._messages = [run, *tasks, None] * runs + [None]
         self.sent = []
 
     def recv(self):
-        return self._tasks.pop(0)
+        return self._messages.pop(0)
 
     def send(self, message):
         # Pickled like a Pipe would, so only wire-safe messages pass.
@@ -119,11 +125,9 @@ class TestWorkerMainInProcess:
             resilience=None,
             heartbeat_interval=0.05,
         )
-        channel = _StubChannel([(coords, 1) for coords in coords_list])
-        worker_main(
-            0, channel, plan, at, at if operand_b is None else operand_b,
-            shard_config,
-        )
+        run = (plan, at, at if operand_b is None else operand_b, shard_config)
+        channel = _StubChannel(run, [(coords, 1) for coords in coords_list])
+        worker_main(0, channel)
         return channel.sent
 
     def test_done_messages_carry_stats_and_tiles(self, planned):
@@ -148,6 +152,25 @@ class TestWorkerMainInProcess:
         beats = [message[1] for message in sent if message[0] == "beat"]
         assert beats == list(range(1, len(beats) + 1))
 
+    def test_runs_end_with_ended_and_beats_restart(self, planned):
+        at, plan = planned
+        shard_config = ShardConfig(
+            config=CONFIG, cost_model=CostModel(), resilience=None,
+            heartbeat_interval=0.01,
+        )
+        run = (plan, at, at, shard_config)
+        coords = [(p.ti, p.tj) for p in plan.pairs[:2]]
+        channel = _StubChannel(run, [(c, 1) for c in coords], runs=2)
+        worker_main(0, channel)
+        ends = [i for i, m in enumerate(channel.sent) if m == ("ended",)]
+        assert len(ends) == 2 and ends[-1] == len(channel.sent) - 1
+        for first, last in ((0, ends[0]), (ends[0] + 1, ends[1])):
+            messages = channel.sent[first:last]
+            beats = [m[1] for m in messages if m[0] == "beat"]
+            assert messages[0] == ("beat", 1)
+            assert beats == list(range(1, len(beats) + 1))
+            assert [m[1]["pair"] for m in messages if m[0] == "done"] == coords
+
     def test_mismatched_operands_are_refused(self, planned, rng):
         _, plan = planned
         other = build(rng.uniform(0.1, 1.0, size=(64, 64)))
@@ -161,8 +184,8 @@ class TestWorkerMainInProcess:
 class _SlowChannel(_StubChannel):
     """A stub channel whose sends take long and count overlaps."""
 
-    def __init__(self, tasks):
-        super().__init__(tasks)
+    def __init__(self, run, tasks):
+        super().__init__(run, tasks)
         self.overlaps = 0
         self._sending = False
 
@@ -181,12 +204,12 @@ class TestChannelContention:
     def test_heartbeats_never_overlap_a_done_message(self, planned):
         at, plan = planned
         tasks = [((p.ti, p.tj), 1) for p in plan.pairs] * 10
-        channel = _SlowChannel(tasks)
         shard_config = ShardConfig(
             config=CONFIG, cost_model=CostModel(), resilience=None,
             heartbeat_interval=0.0,
         )
-        worker_main(0, channel, plan, at, at, shard_config)
+        channel = _SlowChannel((plan, at, at, shard_config), tasks)
+        worker_main(0, channel)
         beats = [message for message in channel.sent if message[0] == "beat"]
         done = [message for message in channel.sent if message[0] == "done"]
         assert len(beats) >= 5

@@ -18,6 +18,8 @@ from repro.resilience import FaultPlan, RetryPolicy, inject_faults
 
 from ..conftest import heterogeneous_array
 
+pytestmark = pytest.mark.usefixtures("fresh_shard_workers")
+
 CONFIG = SystemConfig(llc_bytes=8 * 1024, b_atomic=16)
 TOPOLOGY = SystemTopology(sockets=2, cores_per_socket=2)
 

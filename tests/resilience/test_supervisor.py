@@ -3,7 +3,8 @@
 Worker-kill recovery, quarantine and fault-injection parity live in
 ``tests/integration/test_worker_kill.py``; this module covers the
 happy-path contract: bit-identical results, report population,
-checkpoint cadence and resume, and what a run leaves behind.
+checkpoint cadence and resume, what a run leaves behind, and which
+workers a later run may reuse.
 """
 
 import multiprocessing
@@ -26,12 +27,15 @@ import repro.resilience.supervisor as supervisor
 from repro import COOMatrix, SystemConfig, SystemTopology, atmult, build_at_matrix
 from repro.core.parallel import parallel_atmult
 from repro.engine import MultiplyOptions
-from repro.errors import TaskFailedError
-from repro.resilience import FaultPlan, RetryPolicy, inject_faults
+from repro.errors import OperationCancelledError, TaskFailedError
+from repro.formats import write_matrix_market
+from repro.resilience import CancelToken, FaultPlan, RetryPolicy, inject_faults
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.report import WorkerRecord
 
 from ..conftest import heterogeneous_array
+
+pytestmark = pytest.mark.usefixtures("fresh_shard_workers")
 
 CONFIG = SystemConfig(llc_bytes=8 * 1024, b_atomic=16)
 PRESSURE_CONFIG = SystemConfig(llc_bytes=16 * 1024, b_atomic=16)
@@ -299,14 +303,22 @@ class TestSupervisedCheckpoint:
 
 
 class TestOperandHandoff:
-    """Workers get the plan and operands as process arguments, not files."""
+    """Workers get the plan and operands in a run message, not files."""
 
     def test_spawned_worker_unpickles_its_arguments(self, rng, monkeypatch):
-        # The only run of the pickled-arguments path: fork platforms
-        # never reach it otherwise.
+        # The only run of a spawn-started worker: fork platforms never
+        # reach it otherwise.
         monkeypatch.setattr(
             supervisor, "_make_context", lambda: multiprocessing.get_context("spawn")
         )
+        spawned_pids = []
+        real_start = multiprocessing.context.SpawnProcess.start
+
+        def recording_start(process):
+            real_start(process)
+            spawned_pids.append(process.pid)
+
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", recording_start)
         at = build(heterogeneous_array(rng, 48, 48))
         sequential, _ = atmult(at, at, config=CONFIG)
         spawned, report = parallel_atmult(
@@ -314,6 +326,8 @@ class TestOperandHandoff:
         )
         np.testing.assert_array_equal(spawned.to_dense(), sequential.to_dense())
         assert report.pairs_executed == report.pairs > 0
+        # A spawn-started process served the run, not a warm fork worker.
+        assert [r.pid for r in report.failure.workers.values()] == spawned_pids
 
     def test_forked_run_writes_no_operand_archive_or_pickle(
         self, rng, monkeypatch, tmp_path
@@ -399,22 +413,28 @@ class TestNoLeaks:
         sequential, _ = atmult(at, at, config=CONFIG)
 
         def run():
-            result, _ = parallel_atmult(
+            result, report = parallel_atmult(
                 at, at, topology=TOPOLOGY, options=process_options()
             )
             np.testing.assert_array_equal(
                 result.to_dense(), sequential.to_dense()
             )
+            return sorted(r.pid for r in report.failure.workers.values())
 
+        fds_before = len(os.listdir(fd_dir))  # no idle worker yet
         run()  # warm-up: lazy imports may open descriptors once
         fds = len(os.listdir(fd_dir))
         threads = threading.active_count()
         monkeypatch.setattr(tempfile, "mkdtemp", spying_mkdtemp)
-        for _ in range(5):
-            run()
+        pids = [run() for _ in range(5)]
         assert len(os.listdir(fd_dir)) == fds
         assert threading.active_count() == threads
         assert made == []
+        # The same warm workers served all five runs.
+        assert pids == [pids[0]] * 5
+        supervisor._shutdown_idle()
+        assert multiprocessing.active_children() == []
+        assert len(os.listdir(fd_dir)) == fds_before
 
 
 class TestWithoutSemaphores:
@@ -449,14 +469,327 @@ class TestWithoutSemaphores:
             print("ok", report.pairs_executed)
             """
         )
-        src = str(Path(supervisor.__file__).resolve().parents[2])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        completed = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        completed = run_python("-W", "error::RuntimeWarning", "-c", script)
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.startswith("ok ")
+
+
+def worker_pids(report):
+    return {record.pid for record in report.failure.workers.values()}
+
+
+class TestWarmWorkers:
+    """Workers stay up between runs; buried ones never serve again."""
+
+    def test_second_call_starts_no_process(self, rng, monkeypatch):
+        at = build(heterogeneous_array(rng, 64, 64))
+        sequential, _ = atmult(at, at, config=CONFIG)
+        _, first = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options()
+        )
+        starts = []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            starts.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        second, report = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options()
+        )
+        assert starts == []
+        assert worker_pids(report) == worker_pids(first)
+        assert len(worker_pids(report)) == report.workers
+        assert second.to_dense().tobytes() == sequential.to_dense().tobytes()
+
+    def assert_next_call_avoids(self, at, dead_pids):
+        assert dead_pids
+        sequential, _ = atmult(at, at, config=CONFIG)
+        result, report = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options()
+        )
+        assert worker_pids(report).isdisjoint(dead_pids)
+        assert report.failure.worker_deaths == 0
+        assert result.to_dense().tobytes() == sequential.to_dense().tobytes()
+
+    def test_crashed_worker_is_never_reused(self, rng):
+        at = build(heterogeneous_array(rng, 64, 64))
+        crash = FaultPlan(0, worker_crash_pairs=((0, 0),), worker_crash_attempts=1)
+        with inject_faults(crash):
+            _, report = parallel_atmult(
+                at, at, topology=TOPOLOGY, options=process_options()
+            )
+        dead = {r.pid for r in report.failure.workers.values() if r.died}
+        self.assert_next_call_avoids(at, dead)
+
+    def test_deadline_killed_worker_is_never_reused(self):
+        at = build(np.random.default_rng(3).random((16, 16)))
+        with inject_faults(FaultPlan(0, stall_rate=1.0, stall_seconds=30.0)):
+            with pytest.raises(TaskFailedError) as caught:
+                parallel_atmult(
+                    at, at, topology=TOPOLOGY,
+                    options=process_options(workers=1, pair_deadline_seconds=0.3),
+                )
+        records = caught.value.report.failure.workers.values()
+        assert all(record.died for record in records)
+        self.assert_next_call_avoids(at, {record.pid for record in records})
+
+    def test_cancelled_run_workers_are_never_reused(self, rng):
+        at = build(heterogeneous_array(rng, 64, 64))
+        _, warm = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options()
+        )
+        token = CancelToken()
+        timer = threading.Timer(0.3, token.cancel)
+        timer.start()
+        try:
+            with inject_faults(FaultPlan(0, stall_rate=1.0, stall_seconds=30.0)):
+                with pytest.raises(OperationCancelledError):
+                    parallel_atmult(
+                        at, at, topology=TOPOLOGY,
+                        options=process_options(cancel=token),
+                    )
+        finally:
+            timer.cancel()
+        # The cancelled run took the warm workers and killed them.
+        assert supervisor._idle == []
+        self.assert_next_call_avoids(at, worker_pids(warm))
+
+    def test_failed_run_workers_are_never_reused(self, rng, tmp_path, monkeypatch):
+        at = build(heterogeneous_array(rng, 64, 64))
+        _, warm = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options()
+        )
+
+        def failing_record(store, coords, tile):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CheckpointStore, "record", failing_record)
+            with pytest.raises(OSError, match="disk full"):
+                parallel_atmult(
+                    at, at, topology=TOPOLOGY,
+                    options=process_options(
+                        checkpoint=CheckpointStore(tmp_path / "ckpt")
+                    ),
+                )
+        # The failed run's workers may have been mid-pair: killed, not kept.
+        assert supervisor._idle == []
+        self.assert_next_call_avoids(at, worker_pids(warm))
+
+    def test_a_run_counts_only_its_own_heartbeats(self):
+        at = build(np.random.default_rng(3).random((16, 16)))
+        with inject_faults(FaultPlan(0, stall_rate=1.0, stall_seconds=0.3)):
+            _, busy = parallel_atmult(
+                at, at, topology=TOPOLOGY,
+                options=process_options(workers=1, heartbeat_interval_seconds=0.01),
+            )
+        (busy_record,) = busy.failure.workers.values()
+        assert busy_record.heartbeats >= 5
+        _, quiet = parallel_atmult(
+            at, at, topology=TOPOLOGY,
+            options=process_options(workers=1, heartbeat_interval_seconds=60.0),
+        )
+        (quiet_record,) = quiet.failure.workers.values()
+        assert quiet_record.pid == busy_record.pid
+        # Only the run's own first beat: nothing left over from the last.
+        assert quiet_record.heartbeats == 1
+
+    def test_idle_workers_send_nothing(self, rng):
+        at = build(heterogeneous_array(rng, 64, 64))
+        parallel_atmult(
+            at, at, topology=TOPOLOGY,
+            options=process_options(heartbeat_interval_seconds=0.01),
+        )
+        time.sleep(0.2)  # twenty heartbeat intervals
+        assert len(supervisor._idle) == 2
+        assert not any(channel.poll() for _, channel in supervisor._idle)
+
+    def test_idle_list_keeps_the_returning_run_worker_count(self, rng):
+        at = build(heterogeneous_array(rng, 64, 64))
+        _, two = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options(workers=2)
+        )
+        _, one = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options(workers=1)
+        )
+        assert worker_pids(one) < worker_pids(two)
+        assert [process.pid for process, _ in supervisor._idle] == list(
+            worker_pids(one)
+        )
+        assert {p.pid for p in multiprocessing.active_children()} == worker_pids(one)
+
+
+    def test_concurrent_runs_share_the_idle_list(self, rng):
+        # Three callers, one worker each, on 2 cores: two runs taking
+        # the same idle worker would mix their messages on its pipe.
+        at = build(heterogeneous_array(rng, 48, 48))
+        sequential, _ = atmult(at, at, config=CONFIG)
+        results, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(3):
+                    result, _ = parallel_atmult(
+                        at, at, topology=TOPOLOGY,
+                        options=process_options(workers=1),
+                    )
+                    results.append(result.to_dense().tobytes())
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(3)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == []
+        assert results == [sequential.to_dense().tobytes()] * 9
+        idle = [process.pid for process, _ in supervisor._idle]
+        # Each returning run keeps at most its own worker count (1), and
+        # every other worker was shut down, none leaked.
+        assert len(idle) == 1
+        assert {p.pid for p in multiprocessing.active_children()} == set(idle)
+
+
+class TestExitHygiene:
+    def test_forked_child_starts_with_no_idle_workers(self, rng):
+        at = build(heterogeneous_array(rng, 48, 48))
+        parallel_atmult(at, at, topology=TOPOLOGY, options=process_options())
+        assert supervisor._idle
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child
+            try:
+                closed = all(channel.closed for _, channel in supervisor._idle)
+                os.write(write_end, f"{len(supervisor._idle)} {closed}".encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as reader:
+            seen = reader.read()
+        os.waitpid(pid, 0)
+        assert seen == b"0 True"
+        assert supervisor._idle  # the parent keeps its own
+
+    def test_nothing_forks_outside_a_process_call(self):
+        script = textwrap.dedent(
+            """
+            import os
+            forks = []
+            os.register_at_fork(before=lambda: forks.append(1))
+            import numpy as np
+            import repro
+            import repro.resilience.supervisor
+            from repro import COOMatrix, SystemConfig, SystemTopology
+            from repro import atmult, build_at_matrix
+            from repro.core.parallel import parallel_atmult
+            from repro.engine import MultiplyOptions
+
+            config = SystemConfig(llc_bytes=8 * 1024, b_atomic=16)
+            array = np.random.default_rng(5).random((48, 48))
+            at = build_at_matrix(COOMatrix.from_dense(array), config)
+            topology = SystemTopology(sockets=2, cores_per_socket=2)
+            atmult(at, at, config=config)
+            parallel_atmult(at, at, topology=topology, options=MultiplyOptions(
+                config=config, execution="threads"))
+            assert forks == [], forks
+            options = MultiplyOptions(config=config, execution="processes")
+            for _ in range(3):
+                parallel_atmult(at, at, topology=topology, options=options)
+            print("forks", len(forks))
+            """
+        )
+        completed = run_python(script)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["forks", "2"]
+
+    def test_ctrl_c_at_the_prompt_spares_idle_workers(self):
+        # Ctrl-C signals the whole process group: the caller handles its
+        # KeyboardInterrupt, and its idle workers must survive it.
+        script = textwrap.dedent(
+            """
+            import os, signal, time
+            import numpy as np
+            from repro import COOMatrix, SystemConfig, SystemTopology
+            from repro import build_at_matrix
+            from repro.core.parallel import parallel_atmult
+            from repro.engine import MultiplyOptions
+
+            config = SystemConfig(llc_bytes=8 * 1024, b_atomic=16)
+            array = np.random.default_rng(5).random((48, 48))
+            at = build_at_matrix(COOMatrix.from_dense(array), config)
+            topology = SystemTopology(sockets=2, cores_per_socket=2)
+            options = MultiplyOptions(config=config, execution="processes")
+
+            def pids():
+                _, report = parallel_atmult(
+                    at, at, topology=topology, options=options)
+                return sorted(r.pid for r in report.failure.workers.values())
+
+            before = pids()
+            try:
+                os.killpg(os.getpgrp(), signal.SIGINT)
+                time.sleep(5)
+            except KeyboardInterrupt:
+                pass
+            time.sleep(0.2)
+            assert pids() == before
+            print("ok")
+            """
+        )
+        completed = run_python(script, start_new_session=True)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["ok"]
+        assert "Traceback" not in completed.stderr
+
+    def test_cli_process_run_exits_and_leaves_no_worker(self, tmp_path):
+        proc = Path("/proc")
+        if not proc.is_dir():
+            pytest.skip("needs /proc to look for leftover workers")
+        array = np.random.default_rng(5).random((48, 48))
+        array[array < 0.6] = 0.0
+        matrix = tmp_path / "a.mtx"
+        write_matrix_market(COOMatrix.from_dense(array), matrix)
+        marker = str(tmp_path / "product.mtx")
+        start = time.monotonic()
+        completed = run_python(
+            "-m", "repro", "multiply", str(matrix), str(matrix),
+            "--llc-kib", "8", "--execution", "processes", "--workers", "2",
+            "-o", marker,
+        )
+        elapsed = time.monotonic() - start
+        assert completed.returncode == 0, completed.stderr
+        assert "execution: processes, 2 workers" in completed.stdout
+        assert elapsed < 30.0
+        # Forked workers share the parent's command line.
+        leftovers = []
+        for entry in proc.iterdir():
+            try:
+                cmdline = (entry / "cmdline").read_bytes()
+            except OSError:
+                continue  # not a process, or it just exited
+            if marker.encode() in cmdline:
+                leftovers.append(entry.name)
+        assert leftovers == []
+
+
+def run_python(*args, **kwargs):
+    """Run the interpreter on ``args`` (a script alone means ``-c``)."""
+    src = str(Path(supervisor.__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    argv = ["-c", args[0]] if len(args) == 1 else list(args)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env,
+        timeout=120, **kwargs,
+    )
