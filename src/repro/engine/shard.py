@@ -22,10 +22,11 @@ over one duplex :class:`Channel` that only it and the supervisor hold
 (a ``multiprocessing`` ``Pipe``; tests pass plain stubs).  A run is:
 
 * supervisor → worker: one run message ``(plan, at_a, at_b,
-  shard_config)``, pickled the same way for a fresh worker and a warm
-  one (pickle's memo keeps a self-product's ``at_b is at_a``), then
-  ``((ti, tj), dispatch_attempt)`` tasks, then the ``None`` end-of-run
-  sentinel;
+  shard_config)`` — a freshly started worker's first one comes in its
+  process arguments (inherited under fork, pickled under spawn), every
+  later one pickled over the channel (pickle's memo keeps a
+  self-product's ``at_b is at_a``) — then ``((ti, tj),
+  dispatch_attempt)`` tasks, then the ``None`` end-of-run sentinel;
 * worker → supervisor: ``("beat", n)`` heartbeats (``n`` counts this
   run's beats from 1) from the run's heartbeat thread and one
   ``("done", payload, result)`` message per pair from the main
@@ -160,30 +161,33 @@ class _Heartbeat:
             self._channel.send(("beat", self._beats))
 
 
-def worker_main(worker_id: int, channel: Channel) -> None:
+def worker_main(
+    channel: Channel, first_run: list[RunMessage] | None = None
+) -> None:
     """One long-lived supervised worker: serve runs until shutdown.
 
     Resets inherited process-global state once (a forked child shares
     the parent's fault plan and observation objects), then serves runs
-    until a ``None`` arrives between them.  ``worker_id`` names this
-    process in its done messages; the supervisor numbers the workers of
-    each run itself.
+    until a ``None`` arrives between them.  A freshly started worker
+    gets its first run message in ``first_run``, a one-item list it
+    empties; every other run message arrives on ``channel``.
     """
     faults.clear_active()
     observe_session.clear()
-    while _serve_run(worker_id, channel):
+    while _serve_run(channel, first_run):
         pass
 
 
-def _serve_run(worker_id: int, channel: Channel) -> bool:
+def _serve_run(channel: Channel, first_run: list[RunMessage] | None) -> bool:
     """Serve one run from its run message to its end sentinel.
 
-    Returns False when the shutdown ``None`` arrives instead of a run
-    message.  Everything the run needs — operands, ``PairComputer``,
-    fault plan, heartbeat thread — is local here, so an idle worker
-    holds none of it.  Lifecycle: check the plan against the operands
-    it arrived with, start the heartbeat thread, install the shipped
-    fault spec, then loop::
+    The run message is ``first_run``'s item if it still has one, else
+    the next message on ``channel``.  Returns False when the shutdown
+    ``None`` arrives instead of a run message.  Everything the run
+    needs — operands, ``PairComputer``, fault plan, heartbeat thread —
+    is local here, so an idle worker holds none of it.  Lifecycle:
+    check the plan against the operands it arrived with, start the
+    heartbeat thread, install the shipped fault spec, then loop::
 
         task = channel.recv()         # ((ti, tj), dispatch_attempt)
         fire_worker_crash(...)        # injected SIGKILL, maybe
@@ -199,12 +203,12 @@ def _serve_run(worker_id: int, channel: Channel) -> bool:
     injected crashes, real ones and a plan that does not fit its
     operands.
     """
-    run: RunMessage | None = channel.recv()
+    run: RunMessage | None = first_run.pop() if first_run else channel.recv()
     if run is None:
         return False
     plan, at_a, at_b, shard_config = run
     # Cheap: planning cached both fingerprints on the operands, and the
-    # cache travels with them in the pickle.
+    # cache travels with them (inherited or pickled).
     check_plan_applies(plan, at_a, at_b)
     send_lock = threading.Lock()
     heartbeat = _Heartbeat(channel, send_lock, shard_config.heartbeat_interval)
@@ -258,7 +262,6 @@ def _serve_run(worker_id: int, channel: Channel) -> bool:
                 error = repr(exc)
                 result = getattr(exc, "outcome", None)
             payload = {
-                "worker": worker_id,
                 "pair": coords,
                 "dispatch_attempt": dispatch_attempt,
                 "error": error,

@@ -113,6 +113,15 @@ def get_kernel(
     return _KERNELS[(a_kind, b_kind, c_kind)]
 
 
+def registered_kernels() -> dict[tuple[StorageKind, StorageKind, StorageKind], Kernel]:
+    """A copy of the registry: which kernel serves each type combination.
+
+    Two copies compare equal exactly when every combination maps to the
+    same kernel object.
+    """
+    return dict(_KERNELS)
+
+
 def available_kernels() -> list[str]:
     """Paper-style names of all registered kernels (e.g. ``spspd_gemm``)."""
     return sorted(kernel_name(*key) for key in _KERNELS)

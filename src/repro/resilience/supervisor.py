@@ -4,13 +4,13 @@
 ``execution="processes"`` in
 :func:`~repro.engine.executor.execute_plan`: it shards them across OS
 worker processes (one shard per simulated socket,
-:func:`~repro.engine.shard.assign_shards`), sends each worker the plan
-and operands in a run message (pickled once per run — never written to
-disk), supervises the workers with per-worker heartbeats, per-pair
-dispatch deadlines and liveness checks, and hands each finished pair to
-the executor's finish step.  Pair accounting, checkpoint resume and
-flushing, the aggregated error, the result matrix and the memory-SLA
-repair belong to the executor, shared with the in-process backends.
+:func:`~repro.engine.shard.assign_shards`), hands each worker the plan
+and operands in a run message (never written to disk), supervises the
+workers with per-worker heartbeats, per-pair dispatch deadlines and
+liveness checks, and hands each finished pair to the executor's finish
+step.  Pair accounting, checkpoint resume and flushing, the aggregated
+error, the result matrix and the memory-SLA repair belong to the
+executor, shared with the in-process backends.
 
 This is the **only** module in ``src/repro`` allowed to import
 ``multiprocessing`` (repro-lint rule RPR008): process lifecycle is a
@@ -23,15 +23,25 @@ Workers outlive the call that started them, as the paper's per-socket
 worker teams outlive one tile pair.  A run takes live workers from a
 lock-guarded idle list first and forks (or, without fork, spawns) only
 the missing ones, so fork and interpreter start-up are paid by the
-first process-backend call of a process, not by every call.  When a run
+first process-backend call of a process (and the first after an idle
+spell, see below), not by every call.  When a run
 settles every pair, its surviving workers end the run and go back on
 the idle list, which keeps at most that run's worker count; the rest
 are shut down.  A worker that was buried — it exited, hung, overran a
 pair deadline or was killed by an injected crash — or that belonged to
-a cancelled, interrupted or failed run never serves again.  The idle
-list is shut down at interpreter exit (shutdown message, join, kill
-after :data:`_STOP_SECONDS`), and a forked child starts with an empty
-one, so it never dispatches to its parent's workers.  Workers ignore
+a cancelled, interrupted or failed run never serves again.
+
+A forked worker is a snapshot of the caller at the fork, so two things
+bound its reuse.  It runs the kernel registry it inherited, so a run
+takes only workers started under the caller's current registry
+(:func:`~repro.kernels.registry.register_kernel` and
+``use_reference_kernels`` change it in the caller alone) and shuts
+down the others.  And it keeps the caller's heap as it was, memory the
+caller frees later included, so a reaper thread shuts down workers
+idle for :data:`_IDLE_SECONDS`.  The idle list is shut down at
+interpreter exit (shutdown message, join, kill after
+:data:`_STOP_SECONDS`), and a forked child starts with an empty one, so
+it never dispatches to its parent's workers.  Workers ignore
 SIGINT: Ctrl-C at the caller's terminal reaches idle workers too, and
 the supervisor ends its workers itself.  Nothing forks at import time.
 
@@ -40,9 +50,11 @@ Supervision protocol
 One duplex ``multiprocessing`` ``Pipe`` per worker, held only by the
 supervisor and that worker; the supervisor closes the worker's end in
 its own process right after the start.  Supervisor → worker: a run
-message ``(plan, at_a, at_b, shard_config)``, then
-``((ti, tj), dispatch_attempt)`` tasks, then a ``None`` end-of-run
-sentinel; a ``None`` between runs shuts the worker down.  Worker →
+message ``(plan, at_a, at_b, shard_config)`` — a fresh worker's first
+one in its process arguments, so a forked worker inherits the operands
+without a copy, and every later one pickled once per run and sent on the
+channel — then ``((ti, tj), dispatch_attempt)`` tasks, then a ``None``
+end-of-run sentinel; a ``None`` between runs shuts the worker down.  Worker →
 supervisor: ``("beat", n)`` heartbeats counted from 1 in every run, one
 ``("done", payload, result)`` message per pair (the worker's
 ``run_pair`` result, busy time and fault events, see
@@ -87,9 +99,10 @@ import time
 from collections.abc import Callable
 from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..errors import OperationCancelledError, TaskFailedError
+from ..kernels.registry import registered_kernels
 from ..observe import Observation
 from ..observe import session as observe_session
 from ..resilience.report import PairOutcome, WorkerRecord
@@ -126,60 +139,121 @@ _WAIT_SECONDS = 0.05
 #: to exit after the shutdown message, before they are killed.
 _STOP_SECONDS = 10.0
 
-#: A warm worker between runs: ``(process, channel)``.
-IdleWorker = tuple[Any, Any]
+#: An idle worker is shut down after this many seconds without a run.
+#: A forked worker keeps the caller's heap as it was at the fork, so
+#: memory the caller frees later stays alive in the worker; the idle
+#: list holds it only while calls keep coming.
+_IDLE_SECONDS = 5.0
 
-#: Warm workers waiting for the next run, most recently used last,
-#: guarded by ``_idle_lock``.
+#: The kernel registry a worker was started with: which kernel serves
+#: each (A, B, C) type combination.
+Kernels = dict[Any, Any]
+
+
+class IdleWorker(NamedTuple):
+    """A warm worker between runs."""
+
+    process: Any
+    channel: Any
+    #: the caller's kernel registry when the worker was forked, which
+    #: the worker inherited and keeps
+    kernels: Kernels
+    #: ``time.monotonic()`` when it went idle
+    since: float = 0.0
+
+
+#: Warm workers waiting for the next run, longest idle first, guarded
+#: by ``_idle_lock``; ``_idle_changed`` wakes the reaper thread.
 _idle: list[IdleWorker] = []
 _idle_lock = threading.Lock()
+_idle_changed = threading.Condition(_idle_lock)
+_reaper: threading.Thread | None = None
 
 #: Names the worker processes this process starts.
 _process_ids = itertools.count()
 
+#: Held while a worker starts.  A worker forked by another thread in
+#: that window would inherit the new worker's pipe end and the write end
+#: of its process sentinel, so the new worker's exit would read as
+#: neither end-of-file nor a fired sentinel until that sibling exited.
+_start_lock = threading.Lock()
 
-def _take_idle() -> IdleWorker | None:
-    """A live idle worker, or None; idle workers found dead are reaped."""
+
+def _take_idle(kernels: Kernels) -> IdleWorker | None:
+    """A live idle worker started under ``kernels``, or None.
+
+    Idle workers found dead, or started under another kernel registry
+    (``register_kernel`` or ``use_reference_kernels`` since), are shut
+    down: a worker cannot see the caller's registry change.
+    """
     while True:
         with _idle_lock:
             if not _idle:
                 return None
-            process, channel = _idle.pop()
+            idle = _idle.pop()
         # An idle worker sends nothing, so a readable channel means it
         # is gone (end-of-file).
-        if process.is_alive() and not channel.poll():
-            return process, channel
-        _shut_down([(process, channel)])
+        if (
+            idle.kernels == kernels
+            and idle.process.is_alive()
+            and not idle.channel.poll()
+        ):
+            return idle
+        _shut_down([idle])
 
 
 def _give_back(warm: list[IdleWorker], keep: int) -> None:
     """Put a run's quiet workers on the idle list, keeping at most ``keep``.
 
-    The list is taken from its end, so the longest-idle workers are the
-    ones shut down.
+    The longest-idle workers are the ones shut down.
     """
+    global _reaper
     with _idle_lock:
-        _idle.extend(warm)
+        now = time.monotonic()
+        _idle.extend(idle._replace(since=now) for idle in warm)
         cut = max(0, len(_idle) - keep)
         extra = _idle[:cut]
         del _idle[:cut]
+        if _idle and _reaper is None:
+            _reaper = threading.Thread(
+                target=_reap, name="repro-shard-reaper", daemon=True
+            )
+            _reaper.start()
+        _idle_changed.notify()
     _shut_down(extra)
+
+
+def _reap() -> None:
+    """Shut down workers idle for :data:`_IDLE_SECONDS`; runs until exit."""
+    while True:
+        with _idle_lock:
+            now = time.monotonic()
+            expired: list[IdleWorker] = []
+            while _idle and now - _idle[0].since >= _IDLE_SECONDS:
+                expired.append(_idle.pop(0))
+            if not expired:
+                _idle_changed.wait(
+                    _idle[0].since + _IDLE_SECONDS - now if _idle else None
+                )
+                continue
+        _shut_down(expired)
 
 
 def _shut_down(idle: list[IdleWorker]) -> None:
     """Shut idle workers down: shutdown message, join, close."""
-    for _process, channel in idle:
+    for worker in idle:
         try:
-            channel.send(None)
+            worker.channel.send(None)
         except OSError:
             pass  # already dead
     deadline = time.monotonic() + _STOP_SECONDS
-    for process, channel in idle:
+    for worker in idle:
+        process = worker.process
         process.join(timeout=max(0.0, deadline - time.monotonic()))
         if process.is_alive():  # pragma: no cover - stuck worker backstop
             process.kill()
             process.join(timeout=5.0)
-        channel.close()
+        worker.channel.close()
         if process.exitcode is not None:
             process.close()
 
@@ -191,10 +265,13 @@ def _shutdown_idle() -> None:
 
 def _forget_idle() -> None:
     """In a forked child: the parent's idle workers are not this process's."""
-    global _idle_lock
+    global _idle_lock, _idle_changed, _reaper, _start_lock
     _idle_lock = threading.Lock()
-    for _process, channel in _idle:
-        channel.close()
+    _start_lock = threading.Lock()
+    _idle_changed = threading.Condition(_idle_lock)
+    _reaper = None  # the parent's thread does not exist here
+    for worker in _idle:
+        worker.channel.close()
     _idle.clear()
 
 
@@ -205,14 +282,13 @@ os.register_at_fork(after_in_child=_forget_idle)
 class _Worker:
     """Supervisor-side state of one worker process."""
 
-    def __init__(
-        self, worker_id: int, process: Any, channel: Any, shard_index: int
-    ) -> None:
+    def __init__(self, worker_id: int, started: IdleWorker, shard_index: int) -> None:
         self.worker_id = worker_id
-        self.process = process
-        self.channel = channel
+        self.process = started.process
+        self.channel = started.channel
+        self.kernels = started.kernels
         self.shard_index = shard_index
-        self.record = WorkerRecord(worker_id=worker_id, pid=process.pid)
+        self.record = WorkerRecord(worker_id=worker_id, pid=self.process.pid)
         #: dispatched-but-unconfirmed tasks, oldest first:
         #: ``[coords, dispatch_attempt, head_since]``
         self.in_flight: list[list[Any]] = []
@@ -302,26 +378,34 @@ def _make_context() -> Any:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _start(ctx: Any) -> IdleWorker:
-    """Start one fresh worker process, waiting for its first run."""
-    process_id = next(_process_ids)
-    channel, worker_end = ctx.Pipe()
-    process = ctx.Process(
-        target=_worker_process,
-        args=(process_id, worker_end),
-        name=f"repro-shard-{process_id}",
-        daemon=True,
-    )
-    try:
-        process.start()
-    finally:
-        # The worker holds the only other copy, so its death reads as
-        # end-of-file on ``channel``.
-        worker_end.close()
-    return process, channel
+def _start(ctx: Any, run: Any) -> IdleWorker:
+    """Start one fresh worker process on its first run.
+
+    The run goes in the process arguments: a forked worker inherits the
+    plan and operands without a copy, a spawned one unpickles them.
+    Later runs reach the worker over its channel.
+    """
+    with _start_lock:
+        channel, worker_end = ctx.Pipe()
+        process = ctx.Process(
+            target=_worker_process,
+            # A list the worker empties, so that the process object does
+            # not hold the first run's operands for the worker's lifetime.
+            args=(worker_end, [run]),
+            name=f"repro-shard-{next(_process_ids)}",
+            daemon=True,
+        )
+        kernels = registered_kernels()
+        try:
+            process.start()
+        finally:
+            # The worker holds the only other copy, so its death reads
+            # as end-of-file on ``channel``.
+            worker_end.close()
+    return IdleWorker(process, channel, kernels)
 
 
-def _worker_process(process_id: int, channel: Any) -> None:
+def _worker_process(channel: Any, first_run: list[Any]) -> None:
     """A worker process's entry point: the shard protocol, without Ctrl-C.
 
     Ctrl-C at the caller's terminal reaches the whole process group, idle
@@ -330,7 +414,7 @@ def _worker_process(process_id: int, channel: Any) -> None:
     from ..engine import shard
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    shard.worker_main(process_id, channel)
+    shard.worker_main(channel, first_run)
 
 
 def _supervise(
@@ -352,8 +436,10 @@ def _supervise(
     failure = report.failure
     worker_count = report.workers
     ctx = _make_context()
-    # Pickled once for every worker of the run, replacements included.
-    run_message = ForkingPickler.dumps((plan, at_a, at_b, shard_config))
+    kernels = registered_kernels()
+    run = (plan, at_a, at_b, shard_config)
+    #: ``run`` pickled once for every warm worker of the run
+    run_message: memoryview | None = None
     shards = shard.assign_shards(pending, worker_count)
     #: pairs killed back into the pool by a worker death, dispatched first
     retry_pool: list[PairCoords] = []
@@ -366,19 +452,22 @@ def _supervise(
 
     def spawn_workers(shard_indices: list[int]) -> None:
         """Start a run on warm idle workers, forking only the missing ones."""
-        nonlocal next_worker_id
+        nonlocal next_worker_id, run_message
         for shard_index in shard_indices:
-            warm = _take_idle()
-            process, channel = warm if warm is not None else _start(ctx)
-            worker = _Worker(next_worker_id, process, channel, shard_index)
+            warm = _take_idle(kernels)
+            worker = _Worker(
+                next_worker_id, warm or _start(ctx, run), shard_index
+            )
             next_worker_id += 1
             workers[worker.worker_id] = worker
             failure.workers[worker.worker_id] = worker.record
-            # A fresh worker unpickles its run while the next one forks.
-            try:
-                channel.send_bytes(run_message)
-            except OSError:
-                continue  # it just died; the next drain buries it
+            if warm is not None:
+                if run_message is None:
+                    run_message = ForkingPickler.dumps(run)
+                try:
+                    worker.channel.send_bytes(run_message)
+                except OSError:
+                    continue  # it just died; the next drain buries it
             top_up(worker)
 
     def next_task(worker: _Worker) -> PairCoords | None:
@@ -468,17 +557,24 @@ def _supervise(
             else:
                 note_beat(worker, message[1])
 
-    def ended(worker: _Worker) -> bool:
-        """Read the run's last beats up to the worker's ``("ended",)``."""
-        deadline = time.monotonic() + _STOP_SECONDS
-        try:
-            while worker.channel.poll(max(0.0, deadline - time.monotonic())):
+    def ended(worker: _Worker, deadline: float) -> bool:
+        """Read the run's last beats up to the worker's ``("ended",)``.
+
+        False once the worker exited with nothing left to read (another
+        process may hold a copy of its pipe end, so no end-of-file need
+        come) or ``deadline`` passed.
+        """
+        watched = [worker.channel, worker.process.sentinel]
+        while worker.channel in wait(
+            watched, timeout=max(0.0, deadline - time.monotonic())
+        ):
+            try:
                 message = worker.channel.recv()
-                if message[0] == "ended":
-                    return True
-                note_beat(worker, message[1])
-        except (EOFError, OSError):
-            pass
+            except (EOFError, OSError):
+                return False
+            if message[0] == "ended":
+                return True
+            note_beat(worker, message[1])
         return False
 
     def retire(survivors: list[_Worker]) -> None:
@@ -487,11 +583,12 @@ def _supervise(
             try:
                 worker.channel.send(None)
             except OSError:
-                pass  # dead: ended() reads its end-of-file
+                pass  # dead: ended() sees it exit
+        deadline = time.monotonic() + _STOP_SECONDS
         warm: list[IdleWorker] = []
         for worker in survivors:
-            if ended(worker):
-                warm.append((worker.process, worker.channel))
+            if ended(worker, deadline):
+                warm.append(IdleWorker(worker.process, worker.channel, worker.kernels))
             else:
                 worker.kill()
         _give_back(warm, keep=worker_count)

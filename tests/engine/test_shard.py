@@ -127,7 +127,7 @@ class TestWorkerMainInProcess:
         )
         run = (plan, at, at if operand_b is None else operand_b, shard_config)
         channel = _StubChannel(run, [(coords, 1) for coords in coords_list])
-        worker_main(0, channel)
+        worker_main(channel)
         return channel.sent
 
     def test_done_messages_carry_stats_and_tiles(self, planned):
@@ -138,7 +138,6 @@ class TestWorkerMainInProcess:
         assert [message[1]["pair"] for message in done] == coords
         for _, payload, outcome in done:
             assert payload["error"] is None
-            assert payload["worker"] == 0
             assert payload["dispatch_attempt"] == 1
             assert outcome.stats.products >= 1
             assert outcome.record.attempts == 1
@@ -161,7 +160,7 @@ class TestWorkerMainInProcess:
         run = (plan, at, at, shard_config)
         coords = [(p.ti, p.tj) for p in plan.pairs[:2]]
         channel = _StubChannel(run, [(c, 1) for c in coords], runs=2)
-        worker_main(0, channel)
+        worker_main(channel)
         ends = [i for i, m in enumerate(channel.sent) if m == ("ended",)]
         assert len(ends) == 2 and ends[-1] == len(channel.sent) - 1
         for first, last in ((0, ends[0]), (ends[0] + 1, ends[1])):
@@ -170,6 +169,26 @@ class TestWorkerMainInProcess:
             assert messages[0] == ("beat", 1)
             assert beats == list(range(1, len(beats) + 1))
             assert [m[1]["pair"] for m in messages if m[0] == "done"] == coords
+
+    def test_first_run_from_the_arguments_then_the_channel(self, planned):
+        at, plan = planned
+        shard_config = ShardConfig(
+            config=CONFIG, cost_model=CostModel(), resilience=None,
+            heartbeat_interval=0.05,
+        )
+        run = (plan, at, at, shard_config)
+        coords = [(p.ti, p.tj) for p in plan.pairs[:2]]
+        tasks = [(c, 1) for c in coords]
+        # The channel holds the first run's tasks, then a whole second run.
+        channel = _StubChannel(run, tasks)
+        channel._messages = [*tasks, None, *channel._messages]
+        first_run = [run]
+        worker_main(channel, first_run)
+        assert first_run == []
+        assert channel._messages == []
+        assert channel.sent.count(("ended",)) == 2
+        done = [m[1]["pair"] for m in channel.sent if m[0] == "done"]
+        assert done == coords * 2
 
     def test_mismatched_operands_are_refused(self, planned, rng):
         _, plan = planned
@@ -209,7 +228,7 @@ class TestChannelContention:
             heartbeat_interval=0.0,
         )
         channel = _SlowChannel((plan, at, at, shard_config), tasks)
-        worker_main(0, channel)
+        worker_main(channel)
         beats = [message for message in channel.sent if message[0] == "beat"]
         done = [message for message in channel.sent if message[0] == "done"]
         assert len(beats) >= 5

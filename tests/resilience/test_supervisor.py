@@ -22,13 +22,17 @@ import numpy as np
 import pytest
 
 import repro.engine.executor as executor
+import repro.engine.shard as shard
 import repro.formats.serialize as serialize
+import repro.kernels.registry as registry
 import repro.resilience.supervisor as supervisor
 from repro import COOMatrix, SystemConfig, SystemTopology, atmult, build_at_matrix
 from repro.core.parallel import parallel_atmult
 from repro.engine import MultiplyOptions
+from repro.engine.plan import ExecutionPlan
 from repro.errors import OperationCancelledError, TaskFailedError
 from repro.formats import write_matrix_market
+from repro.kinds import StorageKind
 from repro.resilience import CancelToken, FaultPlan, RetryPolicy, inject_faults
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.report import WorkerRecord
@@ -604,7 +608,7 @@ class TestWarmWorkers:
         )
         time.sleep(0.2)  # twenty heartbeat intervals
         assert len(supervisor._idle) == 2
-        assert not any(channel.poll() for _, channel in supervisor._idle)
+        assert not any(idle.channel.poll() for idle in supervisor._idle)
 
     def test_idle_list_keeps_the_returning_run_worker_count(self, rng):
         at = build(heterogeneous_array(rng, 64, 64))
@@ -615,7 +619,7 @@ class TestWarmWorkers:
             at, at, topology=TOPOLOGY, options=process_options(workers=1)
         )
         assert worker_pids(one) < worker_pids(two)
-        assert [process.pid for process, _ in supervisor._idle] == list(
+        assert [idle.process.pid for idle in supervisor._idle] == list(
             worker_pids(one)
         )
         assert {p.pid for p in multiprocessing.active_children()} == worker_pids(one)
@@ -652,11 +656,146 @@ class TestWarmWorkers:
         assert not any(thread.is_alive() for thread in callers)
         assert errors == []
         assert results == [sequential.to_dense().tobytes()] * 9
-        idle = [process.pid for process, _ in supervisor._idle]
+        idle = [worker.process.pid for worker in supervisor._idle]
         # Each returning run keeps at most its own worker count (1), and
         # every other worker was shut down, none leaked.
         assert len(idle) == 1
         assert {p.pid for p in multiprocessing.active_children()} == set(idle)
+
+    def test_fresh_workers_take_their_first_run_from_their_arguments(
+        self, rng, monkeypatch
+    ):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        pickled_runs = []
+        real_dumps = supervisor.ForkingPickler.dumps
+
+        def counting_dumps(cls, obj, protocol=None):
+            if isinstance(obj, tuple) and len(obj) == 4 and isinstance(
+                obj[0], ExecutionPlan
+            ):
+                pickled_runs.append(obj)
+            return real_dumps(obj, protocol)
+
+        monkeypatch.setattr(
+            supervisor.ForkingPickler, "dumps", classmethod(counting_dumps)
+        )
+        at = build(heterogeneous_array(rng, 64, 64))
+        sequential, _ = atmult(at, at, config=CONFIG)
+        for expected_pickles in (0, 1):
+            result, report = parallel_atmult(
+                at, at, topology=TOPOLOGY, options=process_options()
+            )
+            assert result.to_dense().tobytes() == sequential.to_dense().tobytes()
+            # Forked workers inherit their first run; warm ones get it
+            # pickled once for the whole run.
+            assert len(pickled_runs) == expected_pickles
+            assert report.workers == 2
+
+    def test_a_changed_kernel_registry_gets_new_workers(self, rng):
+        at = build(heterogeneous_array(rng, 64, 64))
+        sequential, _ = atmult(at, at, config=CONFIG)
+        _, before = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options()
+        )
+        saved = {
+            c_kind: registry.get_kernel(StorageKind.SPARSE, StorageKind.SPARSE, c_kind)
+            for c_kind in StorageKind
+        }
+
+        def twice(kernel):
+            def doubled(a, wa, b, wb, out, row0, col0):
+                kernel(a, wa, b, wb, out, row0, col0)
+                kernel(a, wa, b, wb, out, row0, col0)
+
+            return doubled
+
+        try:
+            for c_kind, kernel in saved.items():
+                registry.register_kernel(
+                    StorageKind.SPARSE, StorageKind.SPARSE, c_kind, twice(kernel)
+                )
+            threaded, _ = parallel_atmult(
+                at, at, topology=TOPOLOGY,
+                options=MultiplyOptions(config=CONFIG, execution="threads"),
+            )
+            changed, during = parallel_atmult(
+                at, at, topology=TOPOLOGY, options=process_options()
+            )
+        finally:
+            for c_kind, kernel in saved.items():
+                registry.register_kernel(
+                    StorageKind.SPARSE, StorageKind.SPARSE, c_kind, kernel
+                )
+        # The doubled kernels change the product, on every backend.
+        assert threaded.to_dense().tobytes() != sequential.to_dense().tobytes()
+        assert changed.to_dense().tobytes() == threaded.to_dense().tobytes()
+        assert worker_pids(during).isdisjoint(worker_pids(before))
+        # Workers forked under the doubled kernels keep them: not reused.
+        restored, after = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options()
+        )
+        assert restored.to_dense().tobytes() == sequential.to_dense().tobytes()
+        assert worker_pids(after).isdisjoint(worker_pids(during))
+
+    def test_long_idle_workers_are_shut_down(self, rng, monkeypatch):
+        monkeypatch.setattr(supervisor, "_IDLE_SECONDS", 1.0)
+        at = build(heterogeneous_array(rng, 48, 48))
+        parallel_atmult(at, at, topology=TOPOLOGY, options=process_options())
+        assert supervisor._idle
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert supervisor._idle == []
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_gone_after_its_last_pair_does_not_stall_the_run(
+        self, rng, monkeypatch
+    ):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        # Another process holds a copy of the worker's pipe end, as a
+        # worker forked by a concurrent run can: its exit brings no
+        # end-of-file, only its process sentinel.
+        ctx = multiprocessing.get_context("fork")
+        held = []
+
+        class HoldingContext:
+            Process = ctx.Process
+
+            def Pipe(self):  # noqa: N802 — multiprocessing's spelling
+                channel, worker_end = ctx.Pipe()
+                held.append(os.dup(worker_end.fileno()))
+                return channel, worker_end
+
+        real_worker_main = shard.worker_main
+
+        def exiting_worker_main(channel, first_run):
+            class ExitInsteadOfEnding:
+                recv = channel.recv
+
+                def send(self, message):
+                    if message == ("ended",):
+                        os._exit(0)
+                    channel.send(message)
+
+            real_worker_main(ExitInsteadOfEnding(), first_run)
+
+        monkeypatch.setattr(supervisor, "_make_context", HoldingContext)
+        monkeypatch.setattr(shard, "worker_main", exiting_worker_main)
+        at = build(heterogeneous_array(rng, 48, 48))
+        sequential, _ = atmult(at, at, config=CONFIG)
+        start = time.monotonic()
+        try:
+            result, _ = parallel_atmult(
+                at, at, topology=TOPOLOGY, options=process_options(workers=1)
+            )
+        finally:
+            for fd in held:
+                os.close(fd)
+        assert time.monotonic() - start < supervisor._STOP_SECONDS / 2
+        assert result.to_dense().tobytes() == sequential.to_dense().tobytes()
+        assert supervisor._idle == []
 
 
 class TestExitHygiene:
@@ -668,7 +807,7 @@ class TestExitHygiene:
         pid = os.fork()
         if pid == 0:  # pragma: no cover - child
             try:
-                closed = all(channel.closed for _, channel in supervisor._idle)
+                closed = all(idle.channel.closed for idle in supervisor._idle)
                 os.write(write_end, f"{len(supervisor._idle)} {closed}".encode())
             finally:
                 os._exit(0)
