@@ -33,7 +33,7 @@ aggregated :class:`~repro.errors.TaskFailedError` is raised after the
 pool drains (carrying ``pair_errors`` and the partially populated
 report).  With ``MultiplyOptions(resilience=RetryPolicy(...))``, each
 pair is retried in isolation, validated by the result guard, and
-degraded to sparse under memory pressure — see :mod:`repro.resilience`.
+re-run sparse when a memory spike hits it — see :mod:`repro.resilience`.
 
 Observability: pass ``MultiplyOptions(observer=...)`` (or run inside
 ``repro.observe()``) and
@@ -79,8 +79,8 @@ def parallel_atmult(
     a thread pool of ``topology.sockets`` workers (overridable via
     ``options.workers``) instead of a sequential loop.  With an
     ``options.resilience`` policy, flaky pairs are retried in isolation,
-    finished tiles are validated, and memory pressure degrades the
-    write threshold instead of failing the run.  With
+    finished tiles are validated, and a pair hit by a memory spike is
+    re-run with a sparse target instead of failing the run.  With
     ``use_estimation=False`` the density estimation phase is skipped and
     every target tile is sparse (ablation step 3).
     """

@@ -185,8 +185,9 @@ def execute(
 def chain_cache(options: MultiplyOptions) -> PlanCache | None:
     """The cache a chain is stored in and looked up from, if any.
 
-    None with a retry policy or a memory limit: retries may degrade a
-    hop's tiles and a limit demotes them, which a replay would not repeat.
+    None with a retry policy or a memory limit: under a policy an injected
+    memory spike re-runs a pair sparse, and a limit demotes tiles at the
+    end of a hop; a replay would repeat neither.
     """
     if options.resilience is not None or options.memory_limit_bytes is not None:
         return None

@@ -24,12 +24,12 @@ kernels through one of three backends:
 
 The per-pair logic all three backends share lives in
 :class:`PairComputer`: accumulator setup, planned-decision replay (or a
-live re-derivation when degradation changed the target kind), kernel
-dispatch, and the resilience wrapper —
+live re-derivation when a memory spike forces a planned-dense target
+sparse), kernel dispatch, and the resilience wrapper —
 :class:`~repro.resilience.retry.ResilientPairRunner` when a policy is
 given: bounded retries, result validation with reference fallback and
-memory-pressure degradation.  :func:`finish` folds each pair's outcome
-into the run, on every backend.
+a sparse re-run of a pair hit by a memory spike.  :func:`finish` folds
+each pair's outcome into the run, on every backend.
 
 Replaying against operands whose structure fingerprint differs from the
 plan's raises :class:`~repro.errors.PlanMismatchError`.
@@ -74,7 +74,6 @@ from ..observe import Observation
 from ..observe import session as observe_session
 from ..resilience.cancel import CancelToken
 from ..resilience.checkpoint import CheckpointStore
-from ..resilience.degrade import DegradationState
 from ..resilience.faults import fire_hooks, task_scope
 from ..resilience.guard import reference_tile_product, validate_tile
 from ..resilience.report import PairOutcome, aggregate_message
@@ -208,8 +207,8 @@ class PairComputer:
     """One pair's worth of plan replay, shared by every backend.
 
     Holds the per-run execution state — conversion cache, decision memo,
-    degradation state, resilience runner — and computes single planned
-    pairs against the operands.  The sequential loop, the thread pool
+    resilience runner — and computes single planned pairs against the
+    operands.  The sequential loop, the thread pool
     and the supervised worker processes all drive the same instance
     shape, which is what makes the backends interchangeable: a worker
     process builds its own ``PairComputer`` from the shipped operands
@@ -247,29 +246,8 @@ class PairComputer:
         self.cancel = cancel
         self.conversions = _ConversionCache()
         self.memo = _DecisionMemo(cost_model, plan.dynamic_conversion)
-        self.degradation: DegradationState | None = None
-        self.runner: ResilientPairRunner | None = None
-        self._policy = resilience
-
-    def bind_resilience(self, config: SystemConfig) -> None:
-        """Create the degradation state and runner for ``config``.
-
-        Separate from ``__init__`` because a worker process learns its
-        system config from the shipped shard contract, not the plan.
-        """
-        if self._policy is None:
-            return
-        # Both writes happen on the orchestrating thread before any
-        # worker thread is started; threaded pair execution only reads
-        # these attributes, so no lock is needed.
-        self.degradation = DegradationState(  # repro-lint: disable=RPR012
-            self.plan.estimate,
-            self.plan.memory_limit_bytes,
-            config,
-            self.plan.write_threshold,
-        )
-        self.runner = ResilientPairRunner(  # repro-lint: disable=RPR012
-            self._policy, self.degradation
+        self.runner = (
+            ResilientPairRunner(resilience) if resilience is not None else None
         )
 
     # -- per-pair execution ----------------------------------------------
@@ -282,8 +260,6 @@ class PairComputer:
         stats = _PairStats()
         record = PairOutcome(pair=(pair.ti, pair.tj), attempts=1)
         obs = self.obs
-        plan = self.plan
-        degradation = self.degradation
         attrs = (
             {"ti": pair.ti, "tj": pair.tj, "force_sparse": force_sparse}
             if obs is not None
@@ -296,18 +272,9 @@ class PairComputer:
                     # Nothing to add up (every product may have been
                     # pruned at plan time): no accumulator, no tile.
                     return _PairOutcome(None, stats, record)
-                threshold = (
-                    degradation.threshold
-                    if degradation is not None
-                    else plan.write_threshold
-                )
-                c_kind = (
-                    StorageKind.SPARSE
-                    if force_sparse or pair.rho_c < threshold
-                    else StorageKind.DENSE
-                )
-                # A degraded target kind invalidates the planned input
-                # decisions for this pair; re-derive them live.
+                c_kind = StorageKind.SPARSE if force_sparse else pair.c_kind
+                # A planned-dense target forced sparse invalidates the
+                # planned input decisions for this pair; re-derive them.
                 replan = c_kind is not pair.c_kind
                 accumulator = make_accumulator(
                     c_kind, pair.r1 - pair.r0, pair.c1 - pair.c0
@@ -413,17 +380,6 @@ class PairComputer:
                         obs.metrics.counter(
                             f"numa.bytes.node{t.numa_node}"
                         ).inc(t.memory_bytes())
-                if (
-                    degradation is not None
-                    and not force_sparse
-                    and tile is not None
-                    and tile.kind is StorageKind.DENSE
-                    and degradation.over_budget(tile.memory_bytes())
-                ):
-                    raise MemoryLimitError(
-                        f"pair {(pair.ti, pair.tj)} dense tile of "
-                        f"{tile.memory_bytes()} B would exceed the memory budget"
-                    )
                 return _PairOutcome(tile, stats, record)
         finally:
             if self.busy_hook is not None:
@@ -444,8 +400,7 @@ class PairComputer:
         """Execute one pair under the resilience policy, if any.
 
         Returns the pair's tile, statistics and record (one attempt
-        without a policy) after spending the tile's bytes from the
-        degradation budget, in a worker process too.
+        without a policy).
 
         Checks the cancel token first, so cancellation/deadline expiry
         is observed at tile-pair granularity: a pair that already
@@ -457,30 +412,16 @@ class PairComputer:
         coords = (pair.ti, pair.tj)
         if self.runner is None:
             with task_scope(coords, 1):
-                outcome = self.compute(pair, False)
-        else:
-            result, record = self.runner.run(
-                coords,
-                lambda force_sparse: self.compute(pair, force_sparse),
-                validate=lambda res: self.validate(pair, res),
-                fallback=lambda force_sparse: self.compute(
-                    pair, force_sparse, use_reference=True
-                ),
-            )
-            outcome = _PairOutcome(result.tile, result.stats, record)
-        if outcome.tile is not None:
-            self.note_completed(pair, outcome.tile.memory_bytes())
-        return outcome
-
-    def note_completed(self, pair: PlannedPair, nbytes: int) -> None:
-        """Account a finished pair's memory against the degradation budget."""
-        if self.degradation is not None:
-            self.degradation.note_completed(pair.r0, pair.r1, pair.c0, pair.c1, nbytes)
-
-    def note_resumed(self, resumed: Sequence[tuple[int, int]]) -> None:
-        """Spend the ``(plan pair index, tile bytes)`` of checkpointed pairs."""
-        for index, nbytes in resumed:
-            self.note_completed(self.plan.pairs[index], nbytes)
+                return self.compute(pair, False)
+        result, record = self.runner.run(
+            coords,
+            lambda force_sparse: self.compute(pair, force_sparse),
+            validate=lambda res: self.validate(pair, res),
+            fallback=lambda force_sparse: self.compute(
+                pair, force_sparse, use_reference=True
+            ),
+        )
+        return _PairOutcome(result.tile, result.stats, record)
 
 
 def finish(
@@ -603,14 +544,11 @@ def execute_plan(
         checkpoint.begin(plan) if checkpoint is not None else {}
     )
     pending: list[int] = []
-    resumed: list[tuple[int, int]] = []  # (index, tile bytes), for the budget
     for index, pair in enumerate(plan.pairs):
         coords = (pair.ti, pair.tj)
         if coords in completed:
-            tile = tiles[index] = completed[coords]
+            tiles[index] = completed[coords]
             report.failure.pairs_resumed += 1
-            if tile is not None:
-                resumed.append((index, tile.memory_bytes()))
         else:
             pending.append(index)
 
@@ -637,8 +575,6 @@ def execute_plan(
             busy_hook=busy_hook,
             cancel=cancel,
         )
-        computer.bind_resilience(config)
-        computer.note_resumed(resumed)
 
     def settle(index: int, tile: Tile | None) -> None:
         """Keep one completed pair's tile and journal it."""
@@ -679,9 +615,7 @@ def execute_plan(
                     at_b,
                     [plan.pairs[index] for index in pending],
                     lambda coords, result: finish_pair(index_of[coords], result),
-                    resumed,
                     report=report,
-                    config=config,
                     cost_model=cost_model,
                     resilience=resilience,
                     obs=obs,
@@ -916,7 +850,6 @@ class ChainRun:
             record_tasks=True,
             cancel=self.cancel,
         )
-        computer.bind_resilience(self.config)
         self.computers.append(computer)
         self.reports.append(report)
         self.views.append(TileListView())

@@ -11,8 +11,7 @@ worker process needs — and deliberately imports no ``multiprocessing``
   exactly the paper's NUMA assignment), so one shard corresponds to one
   simulated socket;
 * :class:`ShardConfig` — the per-run contract handed to each worker:
-  system config, cost model, retry policy, heartbeat cadence,
-  fault-injection spec and the pairs resumed from a checkpoint;
+  cost model, retry policy, heartbeat cadence and fault-injection spec;
 * :func:`worker_main` — the worker entry point: serve runs until the
   supervisor shuts the worker down.
 
@@ -48,7 +47,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Protocol
 
-from ..config import SystemConfig
 from ..cost.model import CostModel
 from ..core.atmatrix import ATMatrix
 from ..observe import session as observe_session
@@ -89,7 +87,6 @@ class Channel(Protocol):
 class ShardConfig:
     """The per-run contract handed to every worker process."""
 
-    config: SystemConfig
     cost_model: CostModel
     resilience: RetryPolicy | None
     #: seconds between heartbeat messages
@@ -97,8 +94,6 @@ class ShardConfig:
     #: rebuildable fault-injection schedule, when the supervising
     #: process had a plan active (``--inject-faults`` parity)
     fault_spec: FaultPlanSpec | None = None
-    #: ``(plan pair index, tile bytes)`` resumed from a checkpoint
-    resumed: tuple[tuple[int, int], ...] = ()
 
 
 #: What starts a run on a worker: the plan, both operands and the
@@ -234,8 +229,6 @@ def _serve_run(channel: Channel, first_run: list[RunMessage] | None) -> bool:
         record_tasks=False,
         busy_hook=busy_hook,
     )
-    computer.bind_resilience(shard_config.config)
-    computer.note_resumed(shard_config.resumed)
     events_shipped = 0
 
     def new_events() -> list[dict[str, Any]]:

@@ -1,4 +1,4 @@
-"""Resilient execution for ATMULT: faults, retries, guards, degradation.
+"""Resilient execution for ATMULT: faults, retries, guards, recovery.
 
 The paper's operators assume every tile product succeeds; this package
 makes the engine safe to run unattended (see ``docs/RESILIENCE.md``):
@@ -8,11 +8,10 @@ makes the engine safe to run unattended (see ``docs/RESILIENCE.md``):
   executors;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy` and the shared
   per-pair attempt loop (bounded attempts, exponential backoff with
-  deterministic jitter, per-task deadlines);
+  deterministic jitter, per-task deadlines, a sparse re-run of a pair
+  hit by a memory spike);
 * :mod:`~repro.resilience.guard` — post-execution tile validation with
   a reference-kernel fallback;
-* :mod:`~repro.resilience.degrade` — progressive write-threshold
-  escalation under memory pressure via the water-level method;
 * :mod:`~repro.resilience.report` — the structured
   :class:`FailureReport` attached to both executors' reports;
 * :mod:`~repro.resilience.checkpoint` — the durable
@@ -36,7 +35,6 @@ enable all of it; every backend runs the policy per pair in
 """
 
 from .cancel import CancelToken
-from .degrade import DegradationState
 from .faults import (
     FaultEvent,
     FaultKind,
@@ -72,7 +70,6 @@ from .integrity import (  # noqa: E402
 __all__ = [
     "CancelToken",
     "CheckpointStore",
-    "DegradationState",
     "FailureReport",
     "FaultEvent",
     "FaultKind",

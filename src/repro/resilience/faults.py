@@ -18,8 +18,8 @@ Four fault kinds model the failure modes of long-running sparse chains:
     :class:`~repro.resilience.retry.RetryPolicy`;
 ``MEMORY_PRESSURE``
     a simulated memory spike raising :class:`~repro.errors.MemoryLimitError`,
-    driving the graceful-degradation path
-    (:mod:`repro.resilience.degrade`);
+    which the retry layer absorbs by re-running that pair with a sparse
+    accumulator (:mod:`repro.resilience.retry`);
 ``CORRUPTION``
     a silent result corruption — a NaN poked into the pair's accumulator
     after a kernel ran — which only the result guard

@@ -13,10 +13,10 @@ execution backend runs per pair.  It is generic: the executor passes a
 closures, and the runner handles
 
 * transient exceptions → bounded re-attempts (``retries``);
-* :class:`~repro.errors.MemoryLimitError` → degradation: notify the
-  shared :class:`~repro.resilience.degrade.DegradationState` (raising
-  the global write threshold) and re-run this pair with its accumulator
-  demoted to sparse (``degradations``);
+* :class:`~repro.errors.MemoryLimitError` (an injected memory spike) →
+  degradation: re-run this pair alone with its accumulator demoted to
+  sparse (``degradations``); no other pair and no threshold changes, so
+  the run stays the same on every backend;
 * attempts finishing over the task deadline → discarded and re-run
   while budget remains; the final attempt's late result is accepted
   best-effort (``deadline_violations``, ``late``);
@@ -43,7 +43,6 @@ from ..errors import (
     RetryExhaustedError,
 )
 from ..observe import session as observe_session
-from .degrade import DegradationState
 from .faults import stable_unit, suppress_faults, task_scope
 from .report import PairOutcome
 
@@ -133,12 +132,10 @@ class ResilientPairRunner:
     def __init__(
         self,
         policy: RetryPolicy,
-        degradation: DegradationState | None = None,
         *,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.policy = policy
-        self.degradation = degradation
         self._sleep = sleep
 
     def run(
@@ -153,7 +150,7 @@ class ResilientPairRunner:
 
         ``compute(force_sparse)`` performs the pair's tile products from
         scratch and returns the executor's result object; it is called
-        with ``force_sparse=True`` after a memory-pressure degradation.
+        with ``force_sparse=True`` after a memory spike.
         ``validate(result)`` may raise
         :class:`~repro.errors.ResultCorruptionError`; ``fallback`` is the
         reference re-execution used to recover from that.
@@ -182,8 +179,6 @@ class ResilientPairRunner:
                 outcome.degradations += 1
                 observe_session.counter("resilience.degradations").inc()
                 self._instant("degrade", pair, iteration)
-                if self.degradation is not None:
-                    self.degradation.degrade()
                 force_sparse = True
                 continue
             except Exception as error:  # noqa: BLE001 — kernels may raise anything

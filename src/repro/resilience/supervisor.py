@@ -41,7 +41,10 @@ caller frees later included, so a reaper thread shuts down workers
 idle for :data:`_IDLE_SECONDS`.  The idle list is shut down at
 interpreter exit (shutdown message, join, kill after
 :data:`_STOP_SECONDS`), and a forked child starts with an empty one, so
-it never dispatches to its parent's workers.  Workers ignore
+it never dispatches to its parent's workers.  A forked child, a worker
+included, also closes its copies of the caller's end of every worker's
+channel and process sentinel, so a worker whose caller dies without
+shutting it down reads end-of-file and exits.  Workers ignore
 SIGINT: Ctrl-C at the caller's terminal reaches idle workers too, and
 the supervisor ends its workers itself.  Nothing forks at import time.
 
@@ -49,7 +52,8 @@ Supervision protocol
 --------------------
 One duplex ``multiprocessing`` ``Pipe`` per worker, held only by the
 supervisor and that worker; the supervisor closes the worker's end in
-its own process right after the start.  Supervisor → worker: a run
+its own process right after the start, and every forked child closes
+its copy of the supervisor's end.  Supervisor → worker: a run
 message ``(plan, at_a, at_b, shard_config)`` — a fresh worker's first
 one in its process arguments, so a forked worker inherits the operands
 without a copy, and every later one pickled once per run and sent on the
@@ -111,7 +115,6 @@ from .faults import active_plan
 from .retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import SystemConfig
     from ..core.atmatrix import ATMatrix
     from ..core.report import ParallelReport
     from ..cost.model import CostModel
@@ -172,11 +175,20 @@ _reaper: threading.Thread | None = None
 #: Names the worker processes this process starts.
 _process_ids = itertools.count()
 
-#: Held while a worker starts.  A worker forked by another thread in
-#: that window would inherit the new worker's pipe end and the write end
-#: of its process sentinel, so the new worker's exit would read as
-#: neither end-of-file nor a fired sentinel until that sibling exited.
+#: Held while a worker starts and while ``_ends`` changes.  A worker
+#: forked by another thread in that window would inherit the new
+#: worker's pipe end and the write end of its process sentinel, which
+#: ``multiprocessing`` holds privately until ``start()`` returns, so the
+#: new worker's exit would read as neither end-of-file nor a fired
+#: sentinel until that sibling exited.
 _start_lock = threading.Lock()
+
+#: The caller's end of every worker this process started and has not
+#: released: its channel, mapped to its process (whose sentinel is a
+#: descriptor too).  A forked child closes them all (:func:`_forget_idle`),
+#: so a worker holds no end of a sibling's channel and not the caller's
+#: end of its own, and reads end-of-file once the caller is gone.
+_ends: dict[Any, Any] = {}
 
 
 def _take_idle(kernels: Kernels) -> IdleWorker | None:
@@ -253,9 +265,16 @@ def _shut_down(idle: list[IdleWorker]) -> None:
         if process.is_alive():  # pragma: no cover - stuck worker backstop
             process.kill()
             process.join(timeout=5.0)
-        worker.channel.close()
-        if process.exitcode is not None:
-            process.close()
+        _release(process, worker.channel)
+
+
+def _release(process: Any, channel: Any) -> None:
+    """Close the channel and the process handle of a joined worker."""
+    with _start_lock:
+        _ends.pop(channel, None)
+    channel.close()
+    if process.exitcode is not None:
+        process.close()
 
 
 def _shutdown_idle() -> None:
@@ -264,14 +283,23 @@ def _shutdown_idle() -> None:
 
 
 def _forget_idle() -> None:
-    """In a forked child: the parent's idle workers are not this process's."""
+    """In a forked child: the parent's workers are not this process's.
+
+    Closes the child's copies of the parent's ends of every worker's
+    channel and process sentinel, a worker's own channel included.
+    """
     global _idle_lock, _idle_changed, _reaper, _start_lock
     _idle_lock = threading.Lock()
     _start_lock = threading.Lock()
     _idle_changed = threading.Condition(_idle_lock)
     _reaper = None  # the parent's thread does not exist here
-    for worker in _idle:
-        worker.channel.close()
+    for channel, process in _ends.items():
+        channel.close()
+        try:
+            os.close(process.sentinel)
+        except ValueError:
+            pass  # still starting (this very worker, say): no sentinel yet
+    _ends.clear()
     _idle.clear()
 
 
@@ -297,18 +325,12 @@ class _Worker:
     def alive(self) -> bool:
         return bool(self.process.is_alive())
 
-    def release(self) -> None:
-        """Close the channel and the process handle of a joined worker."""
-        self.channel.close()
-        if self.process.exitcode is not None:
-            self.process.close()
-
     def kill(self) -> None:
         """Kill, join and release a worker that must not serve again."""
         if self.alive():
             self.process.kill()
         self.process.join(timeout=5.0)
-        self.release()
+        _release(self.process, self.channel)
 
 
 def run_supervised(
@@ -317,10 +339,8 @@ def run_supervised(
     at_b: ATMatrix,
     pending: list[PlannedPair],
     finish: Finish,
-    resumed: list[tuple[int, int]],
     *,
     report: ParallelReport,
-    config: SystemConfig,
     cost_model: CostModel,
     resilience: RetryPolicy | None,
     obs: Observation | None,
@@ -335,9 +355,8 @@ def run_supervised(
     and after: it begins and flushes the checkpoint, resumes, assembles
     the result and raises the aggregated error.  Each pair's outcome
     (or error, for a failed or quarantined pair) goes to ``finish`` on
-    the calling thread as its done message arrives.  Workers spend the
-    ``resumed`` ``(plan pair index, tile bytes)`` from their budget
-    first.  This function accounts on ``report`` only what concerns
+    the calling thread as its done message arrives.  This function
+    accounts on ``report`` only what concerns
     workers — busy time, conversion counts, and the ``worker_deaths``,
     ``pairs_reassigned``, ``pairs_quarantined`` and per-worker
     :class:`~repro.resilience.report.WorkerRecord` entries of
@@ -359,12 +378,10 @@ def run_supervised(
         return
     parent_plan = active_plan()
     shard_config = shard.ShardConfig(
-        config=config,
         cost_model=cost_model,
         resilience=resilience,
         heartbeat_interval=heartbeat_interval,
         fault_spec=parent_plan.spec() if parent_plan is not None else None,
-        resumed=tuple(resumed),
     )
     _supervise(
         plan, at_a, at_b, pending, finish, shard_config, report,
@@ -396,8 +413,14 @@ def _start(ctx: Any, run: Any) -> IdleWorker:
             daemon=True,
         )
         kernels = registered_kernels()
+        # Registered before the fork, so the worker closes this end too.
+        _ends[channel] = process
         try:
             process.start()
+        except BaseException:
+            del _ends[channel]
+            channel.close()
+            raise
         finally:
             # The worker holds the only other copy, so its death reads
             # as end-of-file on ``channel``.
@@ -409,12 +432,17 @@ def _worker_process(channel: Any, first_run: list[Any]) -> None:
     """A worker process's entry point: the shard protocol, without Ctrl-C.
 
     Ctrl-C at the caller's terminal reaches the whole process group, idle
-    workers included; the supervisor ends its workers itself.
+    workers included; the supervisor ends its workers itself.  A caller
+    that dies without shutting the worker down closes the channel's only
+    other end, and the worker exits quietly.
     """
     from ..engine import shard
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    shard.worker_main(channel, first_run)
+    try:
+        shard.worker_main(channel, first_run)
+    except (EOFError, BrokenPipeError):
+        pass  # the caller is gone
 
 
 def _supervise(
@@ -610,7 +638,7 @@ def _supervise(
         worker.process.join(timeout=5.0)
         # Pairs it finished before dying are adopted, not recomputed.
         drain(worker)
-        worker.release()
+        _release(worker.process, worker.channel)
         del workers[worker.worker_id]
         worker.record.died = True
         worker.record.cause = cause

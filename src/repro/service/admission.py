@@ -18,8 +18,9 @@ the water level against the configured memory SLA:
   static check.
 
 Admitted multiply jobs then execute with ``memory_limit_bytes`` set to
-the SLA itself, so the engine's own water-level/degradation path
-enforces the budget inside the job — deterministically, which keeps
+the SLA itself, so the engine's own plan-time water level and end-of-run
+repair (:func:`~repro.engine.executor.enforce_memory_limit`) enforce
+the budget inside the job — deterministically, which keeps
 plans cacheable across tenants and checkpoint journals resumable after
 a crash (a limit that depended on transient load would change the plan
 fingerprint between runs).

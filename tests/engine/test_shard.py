@@ -72,7 +72,6 @@ class TestRunDirRoundTrip:
 
     def shard_config(self, **overrides):
         defaults = dict(
-            config=CONFIG,
             cost_model=CostModel(),
             resilience=None,
             heartbeat_interval=0.25,
@@ -120,7 +119,6 @@ class TestWorkerMainInProcess:
     def run_worker(self, planned, coords_list, operand_b=None):
         at, plan = planned
         shard_config = ShardConfig(
-            config=CONFIG,
             cost_model=CostModel(),
             resilience=None,
             heartbeat_interval=0.05,
@@ -154,7 +152,7 @@ class TestWorkerMainInProcess:
     def test_runs_end_with_ended_and_beats_restart(self, planned):
         at, plan = planned
         shard_config = ShardConfig(
-            config=CONFIG, cost_model=CostModel(), resilience=None,
+            cost_model=CostModel(), resilience=None,
             heartbeat_interval=0.01,
         )
         run = (plan, at, at, shard_config)
@@ -173,7 +171,7 @@ class TestWorkerMainInProcess:
     def test_first_run_from_the_arguments_then_the_channel(self, planned):
         at, plan = planned
         shard_config = ShardConfig(
-            config=CONFIG, cost_model=CostModel(), resilience=None,
+            cost_model=CostModel(), resilience=None,
             heartbeat_interval=0.05,
         )
         run = (plan, at, at, shard_config)
@@ -224,7 +222,7 @@ class TestChannelContention:
         at, plan = planned
         tasks = [((p.ti, p.tj), 1) for p in plan.pairs] * 10
         shard_config = ShardConfig(
-            config=CONFIG, cost_model=CostModel(), resilience=None,
+            cost_model=CostModel(), resilience=None,
             heartbeat_interval=0.0,
         )
         channel = _SlowChannel((plan, at, at, shard_config), tasks)

@@ -14,11 +14,11 @@ from repro.resilience.report import FailureReport
 from repro.resilience.retry import ResilientPairRunner, RetryPolicy
 
 
-def make_runner(policy, degradation=None):
+def make_runner(policy):
     """A runner whose returned (and raised) outcomes merge into ``report``."""
     report = FailureReport()
     sleeps = []
-    runner = ResilientPairRunner(policy, degradation, sleep=sleeps.append)
+    runner = ResilientPairRunner(policy, sleep=sleeps.append)
 
     class MergingRunner:
         def run(self, *args, **kwargs):
@@ -128,15 +128,7 @@ class TestRunner:
         assert report.pair_outcomes[(4, 7)].failed
 
     def test_memory_pressure_degrades_to_sparse(self):
-        class FakeDegradation:
-            def __init__(self):
-                self.calls = 0
-
-            def degrade(self):
-                self.calls += 1
-
-        degradation = FakeDegradation()
-        runner, report, _ = make_runner(RetryPolicy(), degradation)
+        runner, report, _ = make_runner(RetryPolicy())
         seen = []
 
         def compute(force_sparse):
@@ -147,7 +139,6 @@ class TestRunner:
 
         assert runner.run((0, 0), compute) == "sparse result"
         assert seen == [False, True]
-        assert degradation.calls == 1
         assert report.degradations == 1
         assert report.retries == 0  # degradations do not consume retry budget
 
