@@ -34,6 +34,11 @@ over one duplex :class:`Channel` that only it and the supervisor hold
   the payload — and, after the end sentinel, ``("ended",)`` once the
   heartbeat thread has stopped.
 
+Operands and result tiles cross the channel as pickled exact float
+bytes and unpickle with numpy's builtin dtypes (the format classes'
+``__setstate__``), so a worker computes its pairs as fast as the
+caller would on its own operands.
+
 Between runs the worker holds nothing of the last one and sends
 nothing; a ``None`` in place of a run message shuts it down.  A worker
 killed mid-send leaves a truncated message on its own channel only,

@@ -272,6 +272,17 @@ class CSRMatrix:
             check=False,
         )
 
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        # As DenseMatrix.__setstate__: view unpickled arrays with numpy's
+        # builtin dtypes so the kernels stay on their fast paths.
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.indptr = self.indptr.view(np.int64)
+        self.indices = self.indices.view(np.int64)
+        self.values = self.values.view(np.float64)
+        if self._keys is not None:
+            self._keys = self._keys.view(np.int64)
+
     def __repr__(self) -> str:
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
 

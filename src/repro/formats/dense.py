@@ -98,5 +98,14 @@ class DenseMatrix:
         """The transposed matrix (materialized row-major)."""
         return DenseMatrix(self.array.T)
 
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        # An unpickled array's dtype equals numpy's builtin float64 but is
+        # another object, which takes ufuncs such as ``np.add.at`` off
+        # their fast path; a view restores the builtin dtype, copying no
+        # bytes.  Cached slots come back as they were pickled.
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.array = self.array.view(np.float64)
+
     def __repr__(self) -> str:
         return f"DenseMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -92,7 +92,12 @@ def scatter_add(
     indices: on numpy 2.4 its 1-D fast path measured 4-10x faster than
     ``add.at`` with a ``(rows, cols)`` index, and faster than a
     ``bincount`` histogram of the whole array at every size tried.  numpy
-    releases before 1.25 lack that fast path.
+    releases before 1.25 lack that fast path.  It also needs ``values``
+    to carry numpy's builtin float64 dtype object: an unpickled array's
+    dtype compares equal but is another object, and on numpy 2.4.6 a
+    200k-entry scatter of such values into a 256x256 block took 24 ms
+    against 2.0 ms.  Tile payloads restore the builtin dtypes when
+    unpickled (``DenseMatrix.__setstate__``, ``CSRMatrix.__setstate__``).
     """
     ncols = out.shape[1]
     flat = rows * np.int64(ncols)

@@ -22,7 +22,7 @@ if _SANITIZE:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from repro import COOMatrix, SystemConfig  # noqa: E402
+from repro import COOMatrix, CSRMatrix, DenseMatrix, SystemConfig  # noqa: E402
 from repro.formats import coo_to_csr, coo_to_dense  # noqa: E402
 
 
@@ -108,3 +108,28 @@ def as_dense(array: np.ndarray):
 def assert_matrix_equals(result, expected: np.ndarray, *, atol: float = 1e-10) -> None:
     """Compare any library matrix object against a dense numpy oracle."""
     np.testing.assert_allclose(result.to_dense(), expected, atol=atol)
+
+
+def payload_arrays(payload: CSRMatrix | DenseMatrix) -> dict[str, np.ndarray]:
+    """Every array a tile payload holds, by slot name."""
+    if isinstance(payload, DenseMatrix):
+        return {"array": payload.array}
+    arrays = {
+        "indptr": payload.indptr,
+        "indices": payload.indices,
+        "values": payload.values,
+    }
+    if payload._keys is not None:
+        arrays["_keys"] = payload._keys
+    return arrays
+
+
+def assert_builtin_dtypes(payload: CSRMatrix | DenseMatrix) -> None:
+    """Assert every payload array carries numpy's builtin dtype object.
+
+    An unpickled array's dtype compares equal to the builtin one but is
+    another object, and ``np.add.at`` leaves its fast path on it.
+    """
+    for name, array in payload_arrays(payload).items():
+        builtin = np.dtype(np.float64 if name in ("array", "values") else np.int64)
+        assert array.dtype is builtin, f"{name}: {array.dtype!r} is not builtin"

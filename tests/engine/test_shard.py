@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import repro.engine.shard as shard
 from repro import COOMatrix, SystemConfig, build_at_matrix
 from repro.cost.model import CostModel
 from repro.engine import build_plan
@@ -19,7 +20,7 @@ from repro.engine.shard import ShardConfig, assign_shards, worker_main
 from repro.errors import PlanMismatchError
 from repro.resilience import FaultPlanSpec, RetryPolicy
 
-from ..conftest import heterogeneous_array
+from ..conftest import assert_builtin_dtypes, heterogeneous_array
 
 pytestmark = pytest.mark.usefixtures("fresh_shard_workers")
 
@@ -108,10 +109,11 @@ class _StubChannel:
         self.sent = []
 
     def recv(self):
-        return self._messages.pop(0)
+        # Both ways pickled like a Pipe would, so only wire-safe
+        # messages pass and the worker sees unpickled operands.
+        return pickle.loads(pickle.dumps(self._messages.pop(0)))
 
     def send(self, message):
-        # Pickled like a Pipe would, so only wire-safe messages pass.
         self.sent.append(pickle.loads(pickle.dumps(message)))
 
 
@@ -141,6 +143,28 @@ class TestWorkerMainInProcess:
             assert outcome.record.attempts == 1
             assert outcome.tile is None or isinstance(outcome.tile, Tile)
         assert any(outcome.tile is not None for _, _, outcome in done)
+
+    def test_operands_and_tiles_unpickle_with_builtin_dtypes(
+        self, planned, monkeypatch
+    ):
+        seen = []
+
+        class RecordingComputer(shard.PairComputer):
+            def __init__(self, plan, at_a, at_b, **kwargs):
+                seen.append((at_a, at_b))
+                super().__init__(plan, at_a, at_b, **kwargs)
+
+        monkeypatch.setattr(shard, "PairComputer", RecordingComputer)
+        at, plan = planned
+        sent = self.run_worker(planned, [(p.ti, p.tj) for p in plan.pairs])
+        [(at_a, at_b)] = seen
+        assert at_a is not at and at_b is at_a
+        for tile in at_a.tiles:
+            assert_builtin_dtypes(tile.data)
+        tiles = [m[2].tile for m in sent if m[0] == "done" and m[2].tile is not None]
+        assert tiles
+        for tile in tiles:
+            assert_builtin_dtypes(tile.data)
 
     def test_heartbeats_are_sent_before_any_result(self, planned):
         _, plan = planned

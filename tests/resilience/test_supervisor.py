@@ -38,7 +38,7 @@ from repro.resilience import CancelToken, FaultPlan, RetryPolicy, inject_faults
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.report import WorkerRecord
 
-from ..conftest import heterogeneous_array
+from ..conftest import assert_builtin_dtypes, heterogeneous_array, payload_arrays
 
 pytestmark = pytest.mark.usefixtures("fresh_shard_workers")
 
@@ -511,6 +511,28 @@ class TestWarmWorkers:
         assert worker_pids(report) == worker_pids(first)
         assert len(worker_pids(report)) == report.workers
         assert second.to_dense().tobytes() == sequential.to_dense().tobytes()
+
+    def test_warm_run_tiles_have_builtin_dtypes(self, rng):
+        # Both calls' result tiles are unpickled from the worker
+        # channels; the second call's operands reach warm workers the
+        # same way.
+        at = build(heterogeneous_array(rng, 64, 64))
+        sequential, _ = atmult(at, at, config=CONFIG)
+        expected = {tile.extent: tile for tile in sequential.tiles}
+        _, first = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options()
+        )
+        result, report = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options()
+        )
+        assert worker_pids(report) == worker_pids(first)
+        assert {tile.extent for tile in result.tiles} == expected.keys()
+        for tile in result.tiles:
+            assert tile.kind is expected[tile.extent].kind
+            assert_builtin_dtypes(tile.data)
+            arrays = payload_arrays(expected[tile.extent].data)
+            for name, array in payload_arrays(tile.data).items():
+                assert array.tobytes() == arrays[name].tobytes(), name
 
     def assert_next_call_avoids(self, at, dead_pids):
         assert dead_pids
