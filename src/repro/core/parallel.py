@@ -17,6 +17,12 @@ selected by ``MultiplyOptions.execution``:
   (:mod:`repro.resilience.supervisor`): one OS process per simulated
   socket, heartbeat liveness, crash detection and pair reassignment.
 
+Both backends hand out the pending pairs in plan order, each to the
+next free worker.  Which socket a tile-row lives on is modelled by
+:mod:`repro.topology` (round-robin tile-rows over NUMA nodes) and
+recorded on each planned pair's ``team_node``; no backend binds a
+worker to a node.
+
 Two facts make this sound in Python:
 
 * different pairs write *different* target accumulators, so pair tasks

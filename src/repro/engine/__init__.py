@@ -35,7 +35,7 @@ from .plan import (
     fused_chain_schedule,
 )
 from .session import Session
-from .shard import ShardConfig, assign_shards
+from .shard import ShardConfig
 
 __all__ = [
     "EXECUTION_MODES",
@@ -54,7 +54,6 @@ __all__ = [
     "PlannedProduct",
     "Session",
     "ShardConfig",
-    "assign_shards",
     "build_chain_plan",
     "build_plan",
     "chain_fingerprint",

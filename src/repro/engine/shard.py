@@ -1,17 +1,16 @@
 """Worker-side protocol of the supervised multiprocess executor.
 
-The paper's two-level scheme (Section III-F) places tile-row/tile-column
-pairs on worker teams, one per socket; :mod:`repro.resilience.supervisor`
-makes those teams real OS processes.  This module holds everything a
-worker process needs — and deliberately imports no ``multiprocessing``
-(repro-lint RPR008 confines process management to the supervisor):
+:mod:`repro.resilience.supervisor` runs a plan's pending tile pairs on
+OS worker processes and hands them out from one queue in plan order,
+as the thread backend's pool does.  The paper's NUMA placement
+(Section III-F) is modelled by :mod:`repro.topology`, not by which
+process runs a pair.  This module holds everything a worker process needs — and
+deliberately imports no ``multiprocessing`` (repro-lint RPR008 confines
+process management to the supervisor):
 
-* :func:`assign_shards` — the placement function: pairs land on the
-  shard of their planned ``team_node`` (round-robin tile-row placement,
-  exactly the paper's NUMA assignment), so one shard corresponds to one
-  simulated socket;
 * :class:`ShardConfig` — the per-run contract handed to each worker:
-  cost model, retry policy, heartbeat cadence and fault-injection spec;
+  cost model, retry policy, heartbeat cadence and the caller's active
+  fault plan;
 * :func:`worker_main` — the worker entry point: serve runs until the
   supervisor shuts the worker down.
 
@@ -31,13 +30,16 @@ over one duplex :class:`Channel` that only it and the supervisor hold
   ``("done", payload, result)`` message per pair from the main
   thread, both under one send lock — ``result`` is what ``run_pair``
   returned, or a failed pair's record with the error's ``repr`` in
-  the payload — and, after the end sentinel, ``("ended",)`` once the
+  the payload, and the payload's ``events`` are the
+  :class:`~repro.resilience.faults.FaultEvent` objects the pair
+  injected — and, after the end sentinel, ``("ended",)`` once the
   heartbeat thread has stopped.
 
 Operands and result tiles cross the channel as pickled exact float
 bytes and unpickle with numpy's builtin dtypes (the format classes'
 ``__setstate__``), so a worker computes its pairs as fast as the
-caller would on its own operands.
+caller would on its own operands.  A fault plan pickles as its seed
+and rates, and the worker runs a fresh copy of it with no events.
 
 Between runs the worker holds nothing of the last one and sends
 nothing; a ``None`` in place of a run message shuts it down.  A worker
@@ -48,6 +50,7 @@ writes no file.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 from typing import Any, Protocol
@@ -56,7 +59,7 @@ from ..cost.model import CostModel
 from ..core.atmatrix import ATMatrix
 from ..observe import session as observe_session
 from ..resilience import faults
-from ..resilience.faults import FaultPlanSpec, fire_worker_crash
+from ..resilience.faults import FaultEvent, FaultPlan, fire_worker_crash
 from ..resilience.report import PairOutcome
 from ..resilience.retry import RetryPolicy
 from .executor import PairComputer, _PairOutcome, check_plan_applies
@@ -65,7 +68,6 @@ from .plan import ExecutionPlan, PlannedPair
 __all__ = [
     "Channel",
     "ShardConfig",
-    "assign_shards",
     "worker_main",
 ]
 
@@ -96,34 +98,14 @@ class ShardConfig:
     resilience: RetryPolicy | None
     #: seconds between heartbeat messages
     heartbeat_interval: float
-    #: rebuildable fault-injection schedule, when the supervising
-    #: process had a plan active (``--inject-faults`` parity)
-    fault_spec: FaultPlanSpec | None = None
+    #: the caller's active fault plan, if any (``--inject-faults``
+    #: parity); it pickles as its seed and rates
+    fault_plan: FaultPlan | None = None
 
 
 #: What starts a run on a worker: the plan, both operands and the
 #: per-run contract.
 RunMessage = tuple[ExecutionPlan, ATMatrix, ATMatrix, ShardConfig]
-
-
-def assign_shards(
-    pairs: list[PlannedPair], workers: int
-) -> list[list[PairCoords]]:
-    """Partition planned pairs into one shard per worker.
-
-    A pair lands on shard ``team_node % workers`` — its planned NUMA
-    placement, so shard ``k`` is the process-world twin of simulated
-    socket ``k`` and operand tile-rows stay with their round-robin home.
-    Deterministic: plan order is preserved within each shard, and the
-    supervisor's work stealing only rebalances *dispatch*, never
-    results.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    shards: list[list[PairCoords]] = [[] for _ in range(workers)]
-    for pair in pairs:
-        shards[pair.team_node % workers].append((pair.ti, pair.tj))
-    return shards
 
 
 class _Heartbeat:
@@ -187,7 +169,8 @@ def _serve_run(channel: Channel, first_run: list[RunMessage] | None) -> bool:
     needs — operands, ``PairComputer``, fault plan, heartbeat thread —
     is local here, so an idle worker holds none of it.  Lifecycle:
     check the plan against the operands it arrived with, start the
-    heartbeat thread, install the shipped fault spec, then loop::
+    heartbeat thread, install a fresh copy of the shipped fault plan,
+    then loop::
 
         task = channel.recv()         # ((ti, tj), dispatch_attempt)
         fire_worker_crash(...)        # injected SIGKILL, maybe
@@ -217,9 +200,9 @@ def _serve_run(channel: Channel, first_run: list[RunMessage] | None) -> bool:
         (pair.ti, pair.tj): pair for pair in plan.pairs
     }
 
-    fault_plan = (
-        shard_config.fault_spec.build() if shard_config.fault_spec is not None else None
-    )
+    # A copy has no events and its own lock, also when the run message
+    # was inherited with the caller's plan object under fork.
+    fault_plan = copy.copy(shard_config.fault_plan)
     busy_cell = [0.0]
 
     def busy_hook(elapsed: float) -> None:
@@ -236,13 +219,13 @@ def _serve_run(channel: Channel, first_run: list[RunMessage] | None) -> bool:
     )
     events_shipped = 0
 
-    def new_events() -> list[dict[str, Any]]:
+    def new_events() -> list[FaultEvent]:
         nonlocal events_shipped
         if fault_plan is None:
             return []
         events = fault_plan.events[events_shipped:]
         events_shipped += len(events)
-        return [faults.event_to_wire(event) for event in events]
+        return events
 
     def serve() -> None:
         while True:
@@ -261,7 +244,6 @@ def _serve_run(channel: Channel, first_run: list[RunMessage] | None) -> bool:
                 result = getattr(exc, "outcome", None)
             payload = {
                 "pair": coords,
-                "dispatch_attempt": dispatch_attempt,
                 "error": error,
                 "busy_seconds": busy_cell[0] - busy_before,
                 "conversions": computer.conversions.conversions,

@@ -39,7 +39,6 @@ from .faults import (
     FaultEvent,
     FaultKind,
     FaultPlan,
-    FaultPlanSpec,
     InjectedFaultError,
     active_plan,
     clear_active,
@@ -74,7 +73,6 @@ __all__ = [
     "FaultEvent",
     "FaultKind",
     "FaultPlan",
-    "FaultPlanSpec",
     "InjectedFaultError",
     "IntegrityViolation",
     "PairOutcome",

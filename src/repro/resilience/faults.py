@@ -31,10 +31,13 @@ Four fault kinds model the failure modes of long-running sparse chains:
     thread execution: killing the process would kill the whole run.
 
 Because every decision is a pure function of the seed and the hook-site
-identity, a plan can be reduced to a picklable :class:`FaultPlanSpec`,
-shipped to worker processes, and rebuilt there: ``--inject-faults``
-reproduces the same pair-level failures under ``--execution=processes``
-as under threads.
+identity, a plan pickles as its seed and rates alone: a worker process
+unpickles a fresh plan that makes the same decisions, and the caller's
+plan takes in the events the worker's copy records
+(:meth:`FaultPlan.absorb`).
+``--inject-faults`` therefore injects the same pair-level failures
+under ``--execution=processes`` as under threads, and records the same
+events.
 
 Hook points live in :func:`repro.kernels.registry.run_tile_product`
 (sites ``"kernel"`` pre-kernel and the post-kernel corruption hook), in
@@ -49,6 +52,7 @@ one global ``None`` check — unless a plan is activated with
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import threading
 import time
@@ -144,18 +148,17 @@ class FaultPlan:
         self.events: list[FaultEvent] = []
         self._lock = threading.Lock()
 
-    def spec(self) -> FaultPlanSpec:
-        """The picklable description this plan can be rebuilt from."""
-        return FaultPlanSpec(
-            seed=self.seed,
-            kernel_error_rate=self.kernel_error_rate,
-            stall_rate=self.stall_rate,
-            stall_seconds=self.stall_seconds,
-            memory_pressure_rate=self.memory_pressure_rate,
-            corruption_rate=self.corruption_rate,
-            worker_crash_pairs=self.worker_crash_pairs,
-            worker_crash_attempts=self.worker_crash_attempts,
-        )
+    def __reduce__(self) -> tuple[Any, ...]:
+        """Pickle as the seed and rates, which name the constructor's
+        parameters: an unpickled or copied plan is a fresh one, with no
+        events and its own lock.
+        """
+        settings = {
+            name: value
+            for name, value in vars(self).items()
+            if name not in ("events", "_lock")
+        }
+        return (functools.partial(FaultPlan, **settings), ())
 
     # -- deterministic decisions -----------------------------------------
     def draw(self, kind: FaultKind, site: str, task: Any, iteration: int, extra: Any) -> float:
@@ -195,68 +198,10 @@ class FaultPlan:
         with self._lock:
             self.events.clear()
 
-    # -- cross-process accounting ----------------------------------------
-    def absorb_wire(self, events: list[dict[str, Any]]) -> None:
-        """Merge events recorded by a worker process (wire format)."""
-        for wire in events:
-            task = wire.get("task")
-            self.record(
-                FaultKind(wire["kind"]),
-                str(wire["site"]),
-                tuple(task) if isinstance(task, list) else task,
-                int(wire["iteration"]),
-                wire.get("extra"),
-            )
-
-
-def event_to_wire(event: FaultEvent) -> dict[str, Any]:
-    """A JSON-safe description of one event (worker → supervisor)."""
-    extra = event.extra
-    if not isinstance(extra, (str, int, float, bool, type(None))):
-        extra = repr(extra)
-    task: Any = event.task
-    if isinstance(task, tuple):
-        task = list(task)
-    return {
-        "kind": event.kind.value,
-        "site": event.site,
-        "task": task,
-        "iteration": event.iteration,
-        "extra": extra,
-    }
-
-
-@dataclass(frozen=True)
-class FaultPlanSpec:
-    """A picklable :class:`FaultPlan` description for worker processes.
-
-    The plan object itself carries a lock and the recorded-event list,
-    so it cannot cross a process boundary; the spec carries only the
-    seed and rates — everything a worker needs to rebuild a plan that
-    makes bit-identical injection decisions.
-    """
-
-    seed: int
-    kernel_error_rate: float = 0.0
-    stall_rate: float = 0.0
-    stall_seconds: float = 0.005
-    memory_pressure_rate: float = 0.0
-    corruption_rate: float = 0.0
-    worker_crash_pairs: tuple[tuple[int, int], ...] = ()
-    worker_crash_attempts: int = 1
-
-    def build(self) -> FaultPlan:
-        """A fresh plan making the same decisions as the original."""
-        return FaultPlan(
-            self.seed,
-            kernel_error_rate=self.kernel_error_rate,
-            stall_rate=self.stall_rate,
-            stall_seconds=self.stall_seconds,
-            memory_pressure_rate=self.memory_pressure_rate,
-            corruption_rate=self.corruption_rate,
-            worker_crash_pairs=self.worker_crash_pairs,
-            worker_crash_attempts=self.worker_crash_attempts,
-        )
+    def absorb(self, events: list[FaultEvent]) -> None:
+        """Record events injected by a copy of this plan in a worker."""
+        with self._lock:
+            self.events.extend(events)
 
 
 # The active plan is process-global: fault injection is a test/chaos
@@ -280,8 +225,8 @@ def clear_active() -> None:
 
     A forked worker inherits the parent's process-global plan object —
     including its recorded events and lock — which must not be mutated
-    from the child; workers clear it and install a fresh plan rebuilt
-    from the shipped :class:`FaultPlanSpec`.
+    from the child; workers clear it and install a fresh copy of the
+    plan their run message carries.
     """
     global _ACTIVE
     _ACTIVE = None

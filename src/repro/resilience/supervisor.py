@@ -2,15 +2,16 @@
 
 :func:`run_supervised` is who runs the pending tile pairs under
 ``execution="processes"`` in
-:func:`~repro.engine.executor.execute_plan`: it shards them across OS
-worker processes (one shard per simulated socket,
-:func:`~repro.engine.shard.assign_shards`), hands each worker the plan
-and operands in a run message (never written to disk), supervises the
-workers with per-worker heartbeats, per-pair dispatch deadlines and
-liveness checks, and hands each finished pair to the executor's finish
-step.  Pair accounting, checkpoint resume and flushing, the aggregated
-error, the result matrix and the memory-SLA repair belong to the
-executor, shared with the in-process backends.
+:func:`~repro.engine.executor.execute_plan`: it hands each worker
+process the plan and operands in a run message (never written to
+disk), dispatches the pairs from one queue in plan order, as the thread
+backend's pool does, supervises the workers with per-worker heartbeats,
+per-pair dispatch deadlines and liveness checks, and hands each
+finished pair to the executor's finish step.  The paper's NUMA
+placement is modelled in :mod:`repro.topology`; no worker owns a
+subset of the pairs.  Pair accounting, checkpoint resume and flushing,
+the aggregated error, the result matrix and the memory-SLA repair
+belong to the executor, shared with the in-process backends.
 
 This is the **only** module in ``src/repro`` allowed to import
 ``multiprocessing`` (repro-lint rule RPR008): process lifecycle is a
@@ -81,9 +82,9 @@ Failure handling
 A worker is declared dead when its process exits or its channel
 closes, its heartbeats stop, or its current pair exceeds the dispatch
 deadline (the latter two get a SIGKILL first).  Done messages already
-in a dead worker's channel are adopted; its other unfinished pairs are
-reassigned to surviving workers; a pair whose execution killed its
-worker twice is *quarantined* — recorded as a failed
+in a dead worker's channel are adopted; its other unfinished pairs go
+back on the front of the queue for the surviving workers; a pair whose
+execution killed its worker twice is *quarantined* — recorded as a failed
 :class:`~repro.resilience.report.PairOutcome` instead of retried
 forever.  When no workers survive and work remains, a replacement
 worker is taken from the idle list or started.  Recomputing a reassigned pair is deterministic, and
@@ -103,6 +104,7 @@ import os
 import signal
 import threading
 import time
+from collections import deque
 from collections.abc import Callable
 from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
@@ -313,12 +315,11 @@ os.register_at_fork(after_in_child=_forget_idle)
 class _Worker:
     """Supervisor-side state of one worker process."""
 
-    def __init__(self, worker_id: int, started: IdleWorker, shard_index: int) -> None:
+    def __init__(self, worker_id: int, started: IdleWorker) -> None:
         self.worker_id = worker_id
         self.process = started.process
         self.channel = started.channel
         self.kernels = started.kernels
-        self.shard_index = shard_index
         self.record = WorkerRecord(worker_id=worker_id, pid=self.process.pid)
         #: dispatched-but-unconfirmed tasks, oldest first:
         #: ``[coords, dispatch_attempt, head_since]``
@@ -334,62 +335,6 @@ class _Worker:
             self.process.kill()
         self.process.join(timeout=5.0)
         _release(self.process, self.channel)
-
-
-def run_supervised(
-    plan: ExecutionPlan,
-    at_a: ATMatrix,
-    at_b: ATMatrix,
-    pending: list[PlannedPair],
-    finish: Finish,
-    *,
-    report: ParallelReport,
-    cost_model: CostModel,
-    resilience: RetryPolicy | None,
-    obs: Observation | None,
-    heartbeat_interval: float,
-    pair_deadline_seconds: float | None,
-    cancel: CancelToken | None,
-    startup_grace_seconds: float,
-) -> None:
-    """Run the ``pending`` pairs of ``plan`` on supervised worker processes.
-
-    :func:`~repro.engine.executor.execute_plan` owns everything before
-    and after: it begins and flushes the checkpoint, resumes, assembles
-    the result and raises the aggregated error.  Each pair's outcome
-    (or error, for a failed or quarantined pair) goes to ``finish`` on
-    the calling thread as its done message arrives.  This function
-    accounts on ``report`` only what concerns
-    workers — busy time, conversion counts, and the ``worker_deaths``,
-    ``pairs_reassigned``, ``pairs_quarantined`` and per-worker
-    :class:`~repro.resilience.report.WorkerRecord` entries of
-    ``report.failure`` — running ``report.workers`` workers at a time.
-
-    A tripped ``cancel`` token is observed within the channel wait's
-    timeout: workers are killed, done messages already in their
-    channels are settled, and the run unwinds with
-    :class:`~repro.errors.OperationCancelledError`.
-    ``startup_grace_seconds`` bounds how long a worker may take to send
-    the first heartbeat of the run; only a freshly started worker, which
-    still has to fork or start an interpreter, comes near it.
-    """
-    # Imported here, not at module top: engine.shard pulls in the
-    # executor, which lazily imports this module for mode dispatch.
-    from ..engine import shard
-
-    if not pending:
-        return
-    parent_plan = active_plan()
-    shard_config = shard.ShardConfig(
-        cost_model=cost_model,
-        resilience=resilience,
-        heartbeat_interval=heartbeat_interval,
-        fault_spec=parent_plan.spec() if parent_plan is not None else None,
-    )
-    _supervise(
-        plan, at_a, at_b, pending, finish, shard_config, report,
-        obs, pair_deadline_seconds, startup_grace_seconds, cancel,
-    )
 
 
 def _make_context() -> Any:
@@ -448,22 +393,55 @@ def _worker_process(channel: Any, first_run: list[Any]) -> None:
         pass  # the caller is gone
 
 
-def _supervise(
+def run_supervised(
     plan: ExecutionPlan,
     at_a: ATMatrix,
     at_b: ATMatrix,
     pending: list[PlannedPair],
     finish: Finish,
-    shard_config: Any,
+    *,
     report: ParallelReport,
+    cost_model: CostModel,
+    resilience: RetryPolicy | None,
     obs: Observation | None,
+    heartbeat_interval: float,
     pair_deadline_seconds: float | None,
-    startup_grace_seconds: float,
     cancel: CancelToken | None,
+    startup_grace_seconds: float,
 ) -> None:
-    """The dispatch-and-liveness loop behind :func:`run_supervised`."""
+    """Run the ``pending`` pairs of ``plan`` on supervised worker processes.
+
+    :func:`~repro.engine.executor.execute_plan` owns everything before
+    and after: it begins and flushes the checkpoint, resumes, assembles
+    the result and raises the aggregated error.  Each pair's outcome
+    (or error, for a failed or quarantined pair) goes to ``finish`` on
+    the calling thread as its done message arrives.  This function
+    accounts on ``report`` only what concerns
+    workers — busy time, conversion counts, and the ``worker_deaths``,
+    ``pairs_reassigned``, ``pairs_quarantined`` and per-worker
+    :class:`~repro.resilience.report.WorkerRecord` entries of
+    ``report.failure`` — running ``report.workers`` workers at a time.
+
+    A tripped ``cancel`` token is observed within the channel wait's
+    timeout: workers are killed, done messages already in their
+    channels are settled, and the run unwinds with
+    :class:`~repro.errors.OperationCancelledError`.
+    ``startup_grace_seconds`` bounds how long a worker may take to send
+    the first heartbeat of the run; only a freshly started worker, which
+    still has to fork or start an interpreter, comes near it.
+    """
+    # Imported here, not at module top: engine.shard pulls in the
+    # executor, which lazily imports this module for mode dispatch.
     from ..engine import shard
 
+    if not pending:
+        return
+    shard_config = shard.ShardConfig(
+        cost_model=cost_model,
+        resilience=resilience,
+        heartbeat_interval=heartbeat_interval,
+        fault_plan=active_plan(),
+    )
     failure = report.failure
     worker_count = report.workers
     ctx = _make_context()
@@ -471,9 +449,9 @@ def _supervise(
     run = (plan, at_a, at_b, shard_config)
     #: ``run`` pickled once for every warm worker of the run
     run_message: memoryview | None = None
-    shards = shard.assign_shards(pending, worker_count)
-    #: pairs killed back into the pool by a worker death, dispatched first
-    retry_pool: list[PairCoords] = []
+    #: pairs not yet dispatched, in plan order; a dead worker's
+    #: unfinished pairs go back on the front
+    queue: deque[PairCoords] = deque((pair.ti, pair.tj) for pair in pending)
     dispatch_counts: dict[PairCoords, int] = {}
     kill_blame: dict[PairCoords, int] = {}
     settled = 0
@@ -481,14 +459,12 @@ def _supervise(
     next_worker_id = 0
     workers: dict[int, _Worker] = {}
 
-    def spawn_workers(shard_indices: list[int]) -> None:
+    def spawn_workers(count: int) -> None:
         """Start a run on warm idle workers, forking only the missing ones."""
         nonlocal next_worker_id, run_message
-        for shard_index in shard_indices:
+        for _ in range(count):
             warm = _take_idle(kernels)
-            worker = _Worker(
-                next_worker_id, warm or _start(ctx, run), shard_index
-            )
+            worker = _Worker(next_worker_id, warm or _start(ctx, run))
             next_worker_id += 1
             workers[worker.worker_id] = worker
             failure.workers[worker.worker_id] = worker.record
@@ -501,25 +477,11 @@ def _supervise(
                     continue  # it just died; the next drain buries it
             top_up(worker)
 
-    def next_task(worker: _Worker) -> PairCoords | None:
-        if retry_pool:
-            return retry_pool.pop(0)
-        # A worker starts on its own socket's shard and steals from the
-        # others once that drains (replacements steal from everywhere).
-        own = worker.shard_index % worker_count
-        order = [own] + [i for i in range(worker_count) if i != own]
-        for index in order:
-            if shards[index]:
-                return shards[index].pop(0)
-        return None
-
     def top_up(worker: _Worker) -> None:
         # Pipeline depth 2: the worker always has the next pair queued,
         # so it never idles waiting for the supervisor.
-        while len(worker.in_flight) < 2:
-            coords = next_task(worker)
-            if coords is None:
-                return
+        while len(worker.in_flight) < 2 and queue:
+            coords = queue.popleft()
             dispatch_counts[coords] = dispatch_counts.get(coords, 0) + 1
             attempt = dispatch_counts[coords]
             head_since = time.monotonic() if not worker.in_flight else None
@@ -542,9 +504,8 @@ def _supervise(
         if worker.in_flight:
             worker.in_flight[0][2] = time.monotonic()
         settled += 1
-        parent_plan = active_plan()
-        if parent_plan is not None and payload["events"]:
-            parent_plan.absorb_wire(payload["events"])
+        if shard_config.fault_plan is not None:
+            shard_config.fault_plan.absorb(payload["events"])
         busy = payload["busy_seconds"]
         lane = f"shard-{worker.worker_id}"
         report.worker_busy_seconds[lane] = (
@@ -647,6 +608,7 @@ def _supervise(
         worker.record.cause = cause
         failure.worker_deaths += 1
         observe_session.counter("supervisor.worker_deaths").inc()
+        reassigned: list[PairCoords] = []
         for position, (coords, _attempt, _head) in enumerate(worker.in_flight):
             if position == 0:
                 # The oldest unfinished task is the one that was executing.
@@ -654,7 +616,7 @@ def _supervise(
                 if kill_blame[coords] >= _QUARANTINE_KILLS:
                     quarantine(coords)
                     continue
-            retry_pool.append(coords)
+            reassigned.append(coords)
             failure.pairs_reassigned += 1
             observe_session.counter("supervisor.pairs_reassigned").inc()
             with _span(
@@ -663,6 +625,7 @@ def _supervise(
                 if obs is not None else None,
             ):
                 pass
+        queue.extendleft(reversed(reassigned))
         worker.in_flight.clear()
 
     def quarantine(coords: PairCoords) -> None:
@@ -685,7 +648,7 @@ def _supervise(
 
     clean = False
     try:
-        spawn_workers(list(range(worker_count)))
+        spawn_workers(worker_count)
         while settled < len(pending):
             if cancel is not None:
                 cancel.check()
@@ -716,7 +679,7 @@ def _supervise(
                     continue
                 top_up(worker)
             if settled < len(pending) and not workers:
-                spawn_workers([0])
+                spawn_workers(1)
         clean = True
     except (KeyboardInterrupt, OperationCancelledError):
         for worker in workers.values():

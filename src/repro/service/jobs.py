@@ -4,7 +4,7 @@ Every submitted job gets its own directory under the service's job dir::
 
     <job_dir>/<job_id>/
         job.json      # spec + state + error + timestamps (atomic writes)
-        ckpt/         # CheckpointStore spill dir (multiply jobs)
+        ckpt/         # CheckpointStore spill dir (multiply jobs; deleted once DONE)
         result.npz    # dense result values + CRC-32C (atomic write)
 
 ``job.json`` is rewritten atomically on every state transition, so a
@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import io
 import json
+import shutil
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -207,11 +208,18 @@ class JobStore:
         self.save(record)
 
     def save(self, record: JobRecord) -> None:
-        """Atomically rewrite the record's ``job.json``."""
+        """Atomically rewrite the record's ``job.json``.
+
+        Once a DONE record is durable, the job's checkpoint journal is
+        deleted: only CANCELLED and DEADLINE_EXCEEDED jobs resume, so
+        nothing reads it again.
+        """
         atomic_write_text(
             self._record_path(record.spec.job_id),
             json.dumps(record.to_json_dict(), indent=2, sort_keys=True),
         )
+        if record.state is JobState.DONE:
+            shutil.rmtree(self.checkpoint_dir(record.spec.job_id), ignore_errors=True)
 
     def load(self, job_id: str) -> JobRecord:
         path = self._record_path(job_id)

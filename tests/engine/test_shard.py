@@ -2,7 +2,7 @@
 
 Everything here runs in-process: ``worker_main`` is driven by a stub
 :class:`Channel` that feeds it a run message with its plan and operands,
-so the heartbeat, done and end-of-run messages and the fault-spec
+so the heartbeat, done and end-of-run messages and the fault-plan
 plumbing are all exercised without ``multiprocessing``.
 """
 
@@ -16,9 +16,9 @@ from repro import COOMatrix, SystemConfig, build_at_matrix
 from repro.cost.model import CostModel
 from repro.engine import build_plan
 from repro.core.tile import Tile
-from repro.engine.shard import ShardConfig, assign_shards, worker_main
+from repro.engine.shard import ShardConfig, worker_main
 from repro.errors import PlanMismatchError
-from repro.resilience import FaultPlanSpec, RetryPolicy
+from repro.resilience import FaultKind, FaultPlan, RetryPolicy
 
 from ..conftest import assert_builtin_dtypes, heterogeneous_array
 
@@ -38,36 +38,6 @@ def planned(rng):
     return at, plan
 
 
-class TestAssignShards:
-    def test_pairs_follow_their_team_node(self, planned):
-        _, plan = planned
-        shards = assign_shards(plan.pairs, 2)
-        assert len(shards) == 2
-        placed = {coords for shard in shards for coords in shard}
-        assert placed == {(p.ti, p.tj) for p in plan.pairs}
-        for pair in plan.pairs:
-            assert (pair.ti, pair.tj) in shards[pair.team_node % 2]
-
-    def test_single_worker_gets_everything_in_plan_order(self, planned):
-        _, plan = planned
-        shards = assign_shards(plan.pairs, 1)
-        assert shards == [[(p.ti, p.tj) for p in plan.pairs]]
-
-    def test_assignment_is_deterministic(self, planned):
-        _, plan = planned
-        assert assign_shards(plan.pairs, 3) == assign_shards(plan.pairs, 3)
-
-    def test_more_workers_than_pairs_leaves_empty_shards(self, planned):
-        _, plan = planned
-        shards = assign_shards(plan.pairs, len(plan.pairs) + 5)
-        assert sum(len(shard) for shard in shards) == len(plan.pairs)
-
-    def test_zero_workers_rejected(self, planned):
-        _, plan = planned
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            assign_shards(plan.pairs, 0)
-
-
 class TestRunDirRoundTrip:
     """What every worker receives must survive a pickle round trip."""
 
@@ -80,21 +50,32 @@ class TestRunDirRoundTrip:
         defaults.update(overrides)
         return ShardConfig(**defaults)
 
-    def test_shard_config_pickles_with_fault_spec(self):
-        spec = FaultPlanSpec(
-            seed=7,
+    def test_shard_config_pickles_with_fault_plan(self):
+        plan = FaultPlan(
+            7,
             kernel_error_rate=0.1,
             worker_crash_pairs=((1, 2),),
             worker_crash_attempts=2,
         )
+        plan.record(FaultKind.KERNEL_ERROR, "kernel", (1, 2), 1, (0, 0))
         config = self.shard_config(
-            resilience=RetryPolicy(max_attempts=2), fault_spec=spec
+            resilience=RetryPolicy(max_attempts=2), fault_plan=plan
         )
         clone = pickle.loads(pickle.dumps(config))
-        assert clone.fault_spec == spec
         assert clone.resilience.max_attempts == 2
-        rebuilt = clone.fault_spec.build()
+        rebuilt = clone.fault_plan
+        # Seed and rates travel; the recorded events do not.
+        assert rebuilt.events == []
+        assert rebuilt.kernel_error_rate == 0.1
         assert rebuilt.worker_crash_pairs == ((1, 2),)
+        assert rebuilt.worker_crash_attempts == 2
+        for kind in FaultKind:
+            for task in ((0, 0), (1, 2), (3, 1)):
+                assert rebuilt.draw(kind, "kernel", task, 1, None) == plan.draw(
+                    kind, "kernel", task, 1, None
+                )
+        rebuilt.record(FaultKind.STALL, "pair", (0, 0), 1, None)
+        assert rebuilt.injected == 1 and plan.injected == 1
 
 
 class _StubChannel:
@@ -138,7 +119,6 @@ class TestWorkerMainInProcess:
         assert [message[1]["pair"] for message in done] == coords
         for _, payload, outcome in done:
             assert payload["error"] is None
-            assert payload["dispatch_attempt"] == 1
             assert outcome.stats.products >= 1
             assert outcome.record.attempts == 1
             assert outcome.tile is None or isinstance(outcome.tile, Tile)

@@ -108,6 +108,11 @@ class TestFaultInjectionParity:
         # hosts them, so the event totals agree exactly.
         assert process_plan.injected == thread_plan.injected
         assert process_plan.injected > 0
+        # The worker ships its plan's events as they are, so the caller
+        # records exactly what the thread run records.
+        assert sorted(process_plan.events, key=repr) == sorted(
+            thread_plan.events, key=repr
+        )
         assert (
             process_report.failure.retries == thread_report.failure.retries
         )

@@ -27,7 +27,15 @@ import repro.engine.shard as shard
 import repro.formats.serialize as serialize
 import repro.kernels.registry as registry
 import repro.resilience.supervisor as supervisor
-from repro import COOMatrix, SystemConfig, SystemTopology, atmult, build_at_matrix
+from repro import (
+    COOMatrix,
+    Observation,
+    SystemConfig,
+    SystemTopology,
+    atmult,
+    build_at_matrix,
+    distribute_tile_rows,
+)
 from repro.core.parallel import parallel_atmult
 from repro.engine import MultiplyOptions
 from repro.engine.plan import ExecutionPlan
@@ -97,6 +105,35 @@ class TestSupervisedCorrectness:
             supervised.to_dense(), sequential.to_dense()
         )
         assert report.workers == 1
+
+    def test_spread_operand_is_dispatched_in_plan_order(self, rng, monkeypatch):
+        at = distribute_tile_rows(build(heterogeneous_array(rng, 64, 64)), TOPOLOGY)
+        sequential, _ = atmult(at, at, config=CONFIG)
+        pending_pairs = []
+        real_run_supervised = supervisor.run_supervised
+
+        def capturing(plan, at_a, at_b, pending, *args, **kwargs):
+            pending_pairs.extend(pending)
+            return real_run_supervised(plan, at_a, at_b, pending, *args, **kwargs)
+
+        monkeypatch.setattr(supervisor, "run_supervised", capturing)
+        observer = Observation()
+        supervised, _ = parallel_atmult(
+            at, at, topology=TOPOLOGY,
+            options=process_options(workers=2, observer=observer),
+        )
+        np.testing.assert_array_equal(
+            supervised.to_dense(), sequential.to_dense()
+        )
+        # Tile-rows alternate between both nodes, yet the pairs go out
+        # from one queue in plan order, as on the thread backend.
+        assert {pair.team_node for pair in pending_pairs} == {0, 1}
+        dispatched = sorted(
+            observer.tracer.find("shard.dispatch"), key=lambda span: span.start
+        )
+        assert [(span.attrs["ti"], span.attrs["tj"]) for span in dispatched] == [
+            (pair.ti, pair.tj) for pair in pending_pairs
+        ]
 
 
 class TestSupervisedReport:
@@ -351,14 +388,14 @@ class TestOperandHandoff:
         monkeypatch.setattr(serialize, "save_at_matrix", spying_save)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         run_files = []
-        real_supervise = supervisor._supervise
+        real_run_supervised = supervisor.run_supervised
 
-        def listing_supervise(*args):
-            adopted = real_supervise(*args)
+        def listing_run_supervised(*args, **kwargs):
+            adopted = real_run_supervised(*args, **kwargs)
             run_files.extend(tmp_path.rglob("*"))
             return adopted
 
-        monkeypatch.setattr(supervisor, "_supervise", listing_supervise)
+        monkeypatch.setattr(supervisor, "run_supervised", listing_run_supervised)
         at = build(heterogeneous_array(rng, 64, 64))
         sequential, _ = atmult(at, at, config=CONFIG)
         supervised, _ = parallel_atmult(

@@ -27,6 +27,7 @@ from repro import (
 )
 from repro.ioutil import crc32c
 from repro.observe import Observation
+from repro.resilience import CheckpointStore
 from repro.service import JobState, MatrixRegistry, MatrixService, serve
 from repro.service import protocol as protocol_module
 from repro.service import server as server_module
@@ -283,6 +284,41 @@ class TestJobLifecycle:
         assert status.state is JobState.FAILED
         assert status.error_type == "ConvergenceError"
         assert metrics["metrics"]["service.jobs_failed"]["value"] == 1
+
+    def test_done_multiply_drops_its_journal(self, registry, tmp_path, monkeypatch):
+        journaled = []
+        real_flush = CheckpointStore.flush
+
+        def spying_flush(store):
+            written = real_flush(store)
+            journaled.extend(store.directory.glob("pairs/pair-*.npz"))
+            return written
+
+        async def scenario():
+            service = MatrixService(registry, job_dir=tmp_path / "jobs")
+            async with service:
+                job_id = await service.submit(
+                    tenant="t", op="multiply", a="A", b="B"
+                )
+                status = await service.wait(job_id, timeout=120.0)
+                assert status.state is JobState.DONE, status.error
+            return service.store, job_id
+
+        monkeypatch.setattr(CheckpointStore, "flush", spying_flush)
+        store, job_id = run(scenario())
+        # The run journaled its pairs; the DONE job no longer holds them.
+        assert journaled
+        assert {path.parent.parent for path in journaled} == {
+            store.checkpoint_dir(job_id)
+        }
+        assert not store.checkpoint_dir(job_id).exists()
+        assert store.load(job_id).state is JobState.DONE
+        # CRC-checked on load.
+        np.testing.assert_allclose(
+            store.load_result(job_id),
+            dense_of(registry, "A") @ dense_of(registry, "B"),
+            atol=1e-9,
+        )
 
 
 class TestProtocol:
