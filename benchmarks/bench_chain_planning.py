@@ -64,15 +64,13 @@ def test_naive_left_to_right(benchmark, chain, collector):
 
 def test_planned_chain(benchmark, chain, collector):
     def run():
-        result, plan = multiply_chain(
-            chain, options=MultiplyOptions(config=BENCH_CONFIG)
-        )
-        return result, plan
+        return multiply_chain(chain, options=MultiplyOptions(config=BENCH_CONFIG))
 
-    (result, plan), seconds = bench_once(benchmark, run)
-    _RESULTS["planned " + plan.parenthesization()] = seconds
+    (result, report), seconds = bench_once(benchmark, run)
+    parenthesization = report.plan.parenthesization()
+    _RESULTS["planned " + parenthesization] = seconds
     collector.record("chain", "planned", "bottleneck", seconds)
-    assert plan.parenthesization() == "(A1 (A2 A3))"
+    assert parenthesization == "(A1 (A2 A3))"
     assert result.shape == (WIDE, NARROW)
 
 

@@ -151,7 +151,7 @@ from .topology import (
     distribute_tile_rows,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0.dev0"
 
 __all__ = [
     "SystemConfig",

@@ -87,9 +87,6 @@ def _validate_args(args: argparse.Namespace) -> None:
     heartbeat = getattr(args, "heartbeat_interval", None)
     if heartbeat is not None:
         validate_positive(heartbeat, "--heartbeat-interval")
-    grace = getattr(args, "startup_grace", None)
-    if grace is not None:
-        validate_positive(grace, "--startup-grace")
     drain_timeout = getattr(args, "drain_timeout", None)
     if drain_timeout is not None:
         validate_positive(drain_timeout, "--drain-timeout")
@@ -214,7 +211,6 @@ def cmd_multiply(args: argparse.Namespace) -> int:
             execution=args.execution or "threads",
             workers=args.workers,
             heartbeat_interval_seconds=args.heartbeat_interval,
-            startup_grace_seconds=args.startup_grace,
         )
         start = time.perf_counter()
         with context:
@@ -505,12 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="SECONDS",
                           help="worker heartbeat cadence under "
                                "--execution=processes (default %(default)s)")
-    multiply.add_argument("--startup-grace", type=float,
-                          default=MultiplyOptions.startup_grace_seconds,
-                          metavar="SECONDS",
-                          help="grace before a silent worker process counts "
-                               "as dead during startup (default %(default)s; "
-                               "raise on slow spawn-platform imports)")
     _add_config_arguments(multiply)
     multiply.set_defaults(handler=cmd_multiply)
 

@@ -124,14 +124,9 @@ def atmult(
             at_c,
             config=resolved_config,
             cost_model=resolved_model,
-            resilience=opts.resilience,
+            options=opts,
             obs=obs,
             check_fingerprints=False,  # resolve_plan keyed/built on these operands
-            checkpoint=opts.checkpoint,
-            checkpoint_flush_pairs=opts.checkpoint_flush_pairs,
-            cancel=opts.cancel,
-            heartbeat_interval=opts.heartbeat_interval_seconds,
-            startup_grace_seconds=opts.startup_grace_seconds,
         )
         assert isinstance(report, MultiplyReport)
         if fresh:

@@ -167,9 +167,6 @@ class ChainReport(BaseReport):
     :class:`ChainPlan` (``.plan``) and the per-step
     :class:`~repro.core.report.MultiplyReport` list (``.steps``); the
     base phase/kernel/conversion counters hold the sums over all steps.
-    For compatibility with the pre-redesign ``(result, plan)`` return
-    shape, the plan's ``cost``/``splits``/``order`` and
-    :meth:`parenthesization` are exposed directly on the report.
     """
 
     plan: ChainPlan | None = None
@@ -182,25 +179,6 @@ class ChainReport(BaseReport):
     intermediates_freed: int = 0
     #: peak bytes of intermediate tiles resident during fused execution
     peak_intermediate_bytes: int = 0
-
-    def _plan(self) -> ChainPlan:
-        assert self.plan is not None
-        return self.plan
-
-    @property
-    def cost(self) -> float:
-        return self._plan().cost
-
-    @property
-    def splits(self) -> tuple[tuple[int, ...], ...]:
-        return self._plan().splits
-
-    @property
-    def order(self) -> tuple[tuple[int, int, int], ...]:
-        return self._plan().order
-
-    def parenthesization(self, names: list[str] | None = None) -> str:
-        return self._plan().parenthesization(names)
 
     def merge_step(self, step: MultiplyReport) -> None:
         """Fold one multiplication's report into the aggregate."""
@@ -219,8 +197,8 @@ def multiply_chain(
     """Plan and execute a matrix chain.
 
     Returns ``(product, report)`` where the :class:`ChainReport` carries
-    the executed :class:`ChainPlan` (``report.plan``, with ``order``/
-    ``parenthesization()`` available directly on the report) plus the
+    the executed :class:`ChainPlan` (``report.plan``: its ``order``,
+    ``cost``, ``splits`` and ``parenthesization()``) plus the
     aggregated phase and kernel statistics of every step.  Each
     intermediate is an AT Matrix, so later products in the chain keep
     benefiting from the tile-granular optimization.

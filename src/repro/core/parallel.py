@@ -116,17 +116,11 @@ def parallel_atmult(
             at_b,
             config=resolved_config,
             cost_model=resolved_model,
-            resilience=opts.resilience,
+            options=opts,
             obs=obs,
             workers=worker_count,
             execution=opts.execution,
-            heartbeat_interval=opts.heartbeat_interval_seconds,
-            pair_deadline_seconds=opts.pair_deadline_seconds,
             check_fingerprints=False,  # resolve_plan keyed/built on these operands
-            checkpoint=opts.checkpoint,
-            checkpoint_flush_pairs=opts.checkpoint_flush_pairs,
-            cancel=opts.cancel,
-            startup_grace_seconds=opts.startup_grace_seconds,
         )
         assert isinstance(report, ParallelReport)
         if fresh:

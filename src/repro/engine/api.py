@@ -169,14 +169,8 @@ def execute(
             at_c,
             config=resolved_config,
             cost_model=resolved_model,
-            resilience=opts.resilience,
+            options=opts,
             obs=obs,
-            check_fingerprints=True,
-            checkpoint=opts.checkpoint,
-            checkpoint_flush_pairs=opts.checkpoint_flush_pairs,
-            cancel=opts.cancel,
-            heartbeat_interval=opts.heartbeat_interval_seconds,
-            startup_grace_seconds=opts.startup_grace_seconds,
         )
     assert isinstance(report, MultiplyReport)
     return result, report

@@ -73,13 +73,13 @@ from ..kinds import StorageKind, kernel_name
 from ..observe import Observation
 from ..observe import session as observe_session
 from ..resilience.cancel import CancelToken
-from ..resilience.checkpoint import CheckpointStore
 from ..resilience.faults import fire_hooks, task_scope
 from ..resilience.guard import reference_tile_product, validate_tile
 from ..resilience.report import PairOutcome, aggregate_message
 from ..resilience.retry import ResilientPairRunner, RetryPolicy
 from ..topology.trace import TaskRecord
 from .fingerprint import payload_fingerprint, structure_fingerprint
+from .options import MultiplyOptions
 from .plan import (
     ExecutionPlan,
     FusedChainPlan,
@@ -459,19 +459,21 @@ def execute_plan(
     *,
     config: SystemConfig,
     cost_model: CostModel,
-    resilience: RetryPolicy | None = None,
+    options: MultiplyOptions,
     obs: Observation | None = None,
     workers: int = 1,
     execution: str = "sequential",
-    heartbeat_interval: float,
-    pair_deadline_seconds: float | None = None,
     check_fingerprints: bool = True,
-    checkpoint: CheckpointStore | None = None,
-    checkpoint_flush_pairs: int = 1,
-    cancel: CancelToken | None = None,
-    startup_grace_seconds: float,
 ) -> tuple[ATMatrix, MultiplyReport | ParallelReport]:
     """Execute a plan against operands of matching topology.
+
+    ``options`` supplies the run's knobs: its retry policy
+    (``resilience``), ``checkpoint`` store and ``checkpoint_flush_pairs``
+    cadence and ``cancel`` token, and, under ``"processes"``, the
+    heartbeat interval and pair deadline.  ``config`` and ``cost_model``
+    are the caller's resolved ones; ``execution`` and ``workers`` are
+    explicit because the sequential front ends run sequentially whatever
+    ``options.execution`` says.
 
     ``execution`` selects the backend (:data:`EXECUTION_MODES`).  The
     backends differ only in who runs the pending pairs:
@@ -484,11 +486,9 @@ def execute_plan(
       with per-worker busy time and the pair-loop wall time;
     * ``"processes"`` hands them to
       :func:`repro.resilience.supervisor.run_supervised` — worker
-      processes with ``heartbeat_interval``-spaced liveness reporting,
-      an optional per-pair dispatch deadline and
-      ``startup_grace_seconds`` for a run's first heartbeat —
-      and returns a :class:`ParallelReport` that also carries the
-      worker records, deaths and reassignments.
+      processes with heartbeat liveness reporting and an optional
+      per-pair dispatch deadline — and returns a :class:`ParallelReport`
+      that also carries the worker records, deaths and reassignments.
 
     Everything around that is shared: the report, checkpoint resume,
     the :func:`finish` step every completed or failed pair goes
@@ -522,6 +522,8 @@ def execute_plan(
         raise PlanMismatchError("C seeding is not supported in parallel execution")
     if check_fingerprints:
         check_plan_applies(plan, at_a, at_b)
+    checkpoint = options.checkpoint
+    cancel = options.cancel
 
     report: MultiplyReport | ParallelReport
     if execution == "sequential":
@@ -570,7 +572,7 @@ def execute_plan(
             cost_model=cost_model,
             at_c=at_c,
             obs=obs,
-            resilience=resilience,
+            resilience=options.resilience,
             record_tasks=isinstance(report, MultiplyReport),
             busy_hook=busy_hook,
             cancel=cancel,
@@ -582,7 +584,7 @@ def execute_plan(
         if checkpoint is not None:
             pair = plan.pairs[index]
             checkpoint.record((pair.ti, pair.tj), tile)
-            if checkpoint.pending() >= checkpoint_flush_pairs:
+            if checkpoint.pending() >= options.checkpoint_flush_pairs:
                 checkpoint.flush()
 
     def finish_pair(index: int, result: _PairOutcome | Exception) -> None:
@@ -617,12 +619,8 @@ def execute_plan(
                     lambda coords, result: finish_pair(index_of[coords], result),
                     report=report,
                     cost_model=cost_model,
-                    resilience=resilience,
+                    options=options,
                     obs=obs,
-                    heartbeat_interval=heartbeat_interval,
-                    pair_deadline_seconds=pair_deadline_seconds,
-                    cancel=cancel,
-                    startup_grace_seconds=startup_grace_seconds,
                 )
             elif isinstance(report, ParallelReport):
                 _run_on_pool(run, finish_pair, pending, report.workers)

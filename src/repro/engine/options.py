@@ -5,7 +5,11 @@ flags, resilience, observer, worker count, backend, checkpointing,
 cancellation — lives on one frozen value object that ``atmult``,
 ``parallel_atmult``, ``multiply_chain``, the solvers and
 :class:`~repro.engine.session.Session` all accept as ``options=``.
-:func:`coerce_options` folds the ``config``/``cost_model``/
+The object travels whole: the front ends hand it to
+:func:`~repro.engine.executor.execute_plan`, which passes it on to the
+process backend's supervisor, and each layer reads the fields it acts
+on, so a knob has one spelling from the caller down to the code that
+reads it.  :func:`coerce_options` folds the ``config``/``cost_model``/
 ``plan_cache`` context keywords some entry points also take into it.
 """
 
@@ -87,12 +91,6 @@ class MultiplyOptions:
         the run flushes its checkpoint and unwinds with
         :class:`~repro.errors.OperationCancelledError` /
         :class:`~repro.errors.DeadlineExceededError`.
-    startup_grace_seconds:
-        Under ``execution="processes"``, how long a worker may take to
-        post the first heartbeat of a run before it is declared stale.
-        Only a freshly started worker comes near it (interpreter +
-        import cost on cold machines); a warm one from an earlier call
-        beats as soon as it has unpickled the run.
     """
 
     config: SystemConfig | None = None
@@ -110,7 +108,6 @@ class MultiplyOptions:
     checkpoint: CheckpointStore | None = field(default=None, compare=False)
     checkpoint_flush_pairs: int = 1
     cancel: CancelToken | None = field(default=None, compare=False)
-    startup_grace_seconds: float = 10.0
 
     def replace(self, **changes: Any) -> MultiplyOptions:
         """A copy with the given fields replaced."""

@@ -229,9 +229,6 @@ class Session:
         return atmv(as_at_matrix(matrix, self.config), vector)
 
     # -- solvers -----------------------------------------------------------
-    #: ``method=`` spellings accepted by :meth:`solve`.
-    SOLVE_METHODS = ("cg", "jacobi", "richardson")
-
     def solve(
         self,
         a: MatrixOperand,
@@ -242,8 +239,7 @@ class Session:
     ) -> SolveResult:
         """Solve ``A x = b`` with the named iterative method.
 
-        ``method`` is one of ``"cg"`` (conjugate gradients, the default;
-        ``"conjugate_gradient"`` is accepted as a long spelling),
+        ``method`` is one of ``"cg"`` (conjugate gradients, the default),
         ``"jacobi"`` or ``"richardson"``.  Extra keywords go to the
         underlying solver (``tolerance``, ``max_iterations``,
         ``omega``, ...).  The matrix is wrapped once under this
@@ -256,7 +252,6 @@ class Session:
 
         drivers: dict[str, Callable[..., SolveResult]] = {
             "cg": conjugate_gradient,
-            "conjugate_gradient": conjugate_gradient,
             "jacobi": jacobi,
             "richardson": richardson,
         }
@@ -264,31 +259,13 @@ class Session:
         if driver is None:
             raise ConfigError(
                 f"unknown solve method {method!r}; expected one of "
-                f"{', '.join(self.SOLVE_METHODS)}"
+                f"{', '.join(drivers)}"
             )
         return driver(a, b, session=self, **kwargs)
 
-    def richardson(
-        self, matrix: MatrixOperand, rhs: np.ndarray, **kwargs: Any
-    ) -> SolveResult:
-        """Thin delegate of ``solve(..., method="richardson")``."""
-        return self.solve(matrix, rhs, method="richardson", **kwargs)
-
-    def jacobi(
-        self, matrix: MatrixOperand, rhs: np.ndarray, **kwargs: Any
-    ) -> SolveResult:
-        """Thin delegate of ``solve(..., method="jacobi")``."""
-        return self.solve(matrix, rhs, method="jacobi", **kwargs)
-
-    def conjugate_gradient(
-        self, matrix: MatrixOperand, rhs: np.ndarray, **kwargs: Any
-    ) -> SolveResult:
-        """Thin delegate of ``solve(..., method="cg")``."""
-        return self.solve(matrix, rhs, method="cg", **kwargs)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         stats = self.cache_stats()
         return (
-            f"Session(plans={stats['entries']}, hits={stats['hits']}, "
-            f"misses={stats['misses']})"
+            f"Session(plans={stats.entries}, hits={stats.hits}, "
+            f"misses={stats.misses})"
         )

@@ -97,7 +97,7 @@ class CheckpointStore:
 
         store = CheckpointStore(directory, resume=True)
         completed = store.begin(plan)      # {} on a fresh run
-        ... execute_plan(..., checkpoint=store)  # records + flushes
+        ... execute_plan(..., options=MultiplyOptions(checkpoint=store))  # records + flushes
         store.flush()                      # final drain
 
     Attributes

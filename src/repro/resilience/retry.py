@@ -69,10 +69,10 @@ class RetryPolicy:
         late).  ``None`` disables the deadline.
     max_degradations:
         Memory-pressure events absorbed per pair before giving up.
-    validate_results:
-        Run the result guard on every finished tile.
-    fallback_to_reference:
-        Re-execute guard-rejected pairs with the reference kernel.
+
+    Under a policy every finished tile passes the result guard, and a
+    tile the guard rejects is recomputed once through the reference
+    kernel.
     """
 
     max_attempts: int = 3
@@ -82,8 +82,6 @@ class RetryPolicy:
     jitter_fraction: float = 0.25
     task_deadline_seconds: float | None = None
     max_degradations: int = 8
-    validate_results: bool = True
-    fallback_to_reference: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -204,14 +202,14 @@ class ResilientPairRunner:
                     self._instant("deadline_violation", pair, iteration)
                     continue
                 outcome.late = True  # best effort: accept the final late result
-            if validate is not None and policy.validate_results:
+            if validate is not None:
                 try:
                     validate(result)
                 except ResultCorruptionError:
                     outcome.fallbacks += 1
                     observe_session.counter("resilience.fallbacks").inc()
                     self._instant("fallback", pair, iteration)
-                    if fallback is not None and policy.fallback_to_reference:
+                    if fallback is not None:
                         with suppress_faults():
                             result = fallback(force_sparse)
             return result, outcome

@@ -115,15 +115,14 @@ from ..kernels.registry import registered_kernels
 from ..observe import Observation
 from ..observe import session as observe_session
 from ..resilience.report import PairOutcome, WorkerRecord
-from .cancel import CancelToken
 from .faults import active_plan
-from .retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.atmatrix import ATMatrix
     from ..core.report import ParallelReport
     from ..cost.model import CostModel
     from ..engine.executor import _PairOutcome
+    from ..engine.options import MultiplyOptions
     from ..engine.plan import ExecutionPlan, PlannedPair
     from ..engine.shard import PairCoords
 
@@ -135,6 +134,12 @@ _span = observe_session.tracer_span
 
 #: Heartbeats may be late by this factor before a worker counts as hung.
 _HEARTBEAT_GRACE = 5.0
+
+#: How long (seconds) a worker may take to send the first heartbeat of
+#: a run.  Only a freshly started worker comes near it: it still has to
+#: fork or start an interpreter and import; a warm one beats as soon as
+#: it has unpickled the run.
+_STARTUP_GRACE_SECONDS = 10.0
 
 #: A pair that killed its worker this many times is quarantined.
 _QUARANTINE_KILLS = 2
@@ -402,12 +407,8 @@ def run_supervised(
     *,
     report: ParallelReport,
     cost_model: CostModel,
-    resilience: RetryPolicy | None,
+    options: MultiplyOptions,
     obs: Observation | None,
-    heartbeat_interval: float,
-    pair_deadline_seconds: float | None,
-    cancel: CancelToken | None,
-    startup_grace_seconds: float,
 ) -> None:
     """Run the ``pending`` pairs of ``plan`` on supervised worker processes.
 
@@ -422,13 +423,12 @@ def run_supervised(
     :class:`~repro.resilience.report.WorkerRecord` entries of
     ``report.failure`` — running ``report.workers`` workers at a time.
 
-    A tripped ``cancel`` token is observed within the channel wait's
-    timeout: workers are killed, done messages already in their
-    channels are settled, and the run unwinds with
-    :class:`~repro.errors.OperationCancelledError`.
-    ``startup_grace_seconds`` bounds how long a worker may take to send
-    the first heartbeat of the run; only a freshly started worker, which
-    still has to fork or start an interpreter, comes near it.
+    From ``options`` it reads the retry policy (``resilience``) the
+    workers run pairs under, ``heartbeat_interval_seconds``,
+    ``pair_deadline_seconds`` and the ``cancel`` token.  A tripped token
+    is observed within the channel wait's timeout: workers are killed,
+    done messages already in their channels are settled, and the run
+    unwinds with :class:`~repro.errors.OperationCancelledError`.
     """
     # Imported here, not at module top: engine.shard pulls in the
     # executor, which lazily imports this module for mode dispatch.
@@ -438,10 +438,12 @@ def run_supervised(
         return
     shard_config = shard.ShardConfig(
         cost_model=cost_model,
-        resilience=resilience,
-        heartbeat_interval=heartbeat_interval,
+        resilience=options.resilience,
+        heartbeat_interval=options.heartbeat_interval_seconds,
         fault_plan=active_plan(),
     )
+    cancel = options.cancel
+    pair_deadline_seconds = options.pair_deadline_seconds
     failure = report.failure
     worker_count = report.workers
     ctx = _make_context()
@@ -591,7 +593,7 @@ def run_supervised(
         if worker.record.heartbeats == 0:
             # No beat in this run yet: the worker is starting up or
             # unpickling the run message.
-            stale_after = max(stale_after, startup_grace_seconds)
+            stale_after = max(stale_after, _STARTUP_GRACE_SECONDS)
         silent = now - worker.last_beat_change
         return silent if silent > stale_after else None
 

@@ -70,11 +70,11 @@ class TestExecution:
         a = random_sparse_array(rng, 20, 30, 0.3)
         b = random_sparse_array(rng, 30, 10, 0.4)
         c = random_sparse_array(rng, 10, 25, 0.3)
-        result, plan = multiply_chain(
+        result, report = multiply_chain(
             [build(a), build(b), build(c)], options=OPTIONS
         )
         np.testing.assert_allclose(result.to_dense(), a @ b @ c, atol=1e-9)
-        assert len(plan.order) == 2
+        assert len(report.plan.order) == 2
 
     def test_plain_operands_accepted(self, rng):
         a = random_sparse_array(rng, 12, 12, 0.4)
@@ -83,9 +83,9 @@ class TestExecution:
 
     def test_single_operand_passthrough(self, rng):
         a = random_sparse_array(rng, 12, 12, 0.4)
-        result, plan = multiply_chain([build(a)], options=OPTIONS)
+        result, report = multiply_chain([build(a)], options=OPTIONS)
         np.testing.assert_allclose(result.to_dense(), a)
-        assert plan.order == ()
+        assert report.plan.order == ()
 
     def test_memory_limit_propagated(self, rng):
         a = random_sparse_array(rng, 24, 24, 0.3)

@@ -34,9 +34,9 @@ class TestKeying:
         atmult(matrix, matrix, options=options)
         atmult(matrix, matrix, options=options)
         stats = cache.stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 2
-        assert stats["entries"] == 1
+        assert stats.misses == 1
+        assert stats.hits == 2
+        assert stats.entries == 1
 
     def test_structure_change_invalidates(self, rng, small_config, cache):
         array = random_sparse_array(rng, 64, 64, 0.15)
@@ -49,8 +49,8 @@ class TestKeying:
         atmult(first, first, options=options)
         atmult(second, second, options=options)
         stats = cache.stats()
-        assert stats["misses"] == 2
-        assert stats["hits"] == 0
+        assert stats.misses == 2
+        assert stats.hits == 0
 
     def test_value_change_same_pattern_still_hits(self, rng, small_config, cache):
         array = random_sparse_array(rng, 64, 64, 0.15)
@@ -62,7 +62,7 @@ class TestKeying:
         result, _ = atmult(second, second, options=options)
         dense = second.to_dense()
         np.testing.assert_allclose(result.to_dense(), dense @ dense, atol=1e-10)
-        assert cache.stats()["hits"] == 1
+        assert cache.stats().hits == 1
 
     def test_config_hash_invalidates(self, rng, small_config, cache):
         array = random_sparse_array(rng, 64, 64, 0.15)
@@ -91,9 +91,9 @@ class TestKeying:
             ),
         )
         stats = cache.stats()
-        assert stats["misses"] == 3
-        assert stats["hits"] == 0
-        assert stats["entries"] == 3
+        assert stats.misses == 3
+        assert stats.hits == 0
+        assert stats.entries == 3
 
 
 class TestLRU:
@@ -128,8 +128,8 @@ class TestLRU:
         for execution_plan in plans:
             cache.put(self._key(execution_plan), execution_plan)
         stats = cache.stats()
-        assert stats["evictions"] >= 1
-        assert stats["bytes"] <= cache.max_bytes
+        assert stats.evictions >= 1
+        assert stats.bytes <= cache.max_bytes
         assert len(cache) < len(plans)
 
     def test_lru_order_evicts_least_recently_used(self, rng, small_config):
@@ -141,7 +141,7 @@ class TestLRU:
         cache.put(self._key(third), third)  # evicts LRU = second
         assert cache.get(self._key(first)) is first
         assert cache.get(self._key(second)) is None
-        assert cache.stats()["evictions"] >= 1
+        assert cache.stats().evictions >= 1
 
     def test_oversized_plan_is_not_cached(self, rng, small_config):
         matrix = build_at_matrix(
@@ -167,7 +167,7 @@ class TestLRU:
         cache.clear()
         assert len(cache) == 0
         assert cache.current_bytes == 0
-        assert cache.stats()["hits"] == 1
+        assert cache.stats().hits == 1
 
 
 class TestObserveMetrics:

@@ -73,7 +73,7 @@ class TestFusedParity:
         warm, warm_report = session.multiply_chain(list(operands))
         assert not cold_report.plan_cache_hit
         assert warm_report.fused and warm_report.plan_cache_hit
-        assert baseline_report.order == cold_report.order == warm_report.order
+        assert baseline_report.plan.order == cold_report.plan.order == warm_report.plan.order
         assert np.array_equal(baseline.to_dense(), cold.to_dense())
         assert np.array_equal(baseline.to_dense(), warm.to_dense())
         np.testing.assert_allclose(
@@ -172,12 +172,12 @@ class TestPerHopParity:
             cold, cold_report = multiply_chain(list(operands), options=cached)
             chain_demotions = list(demotions)
             warm, warm_report = multiply_chain(list(operands), options=cached)
-            reference = per_hop_reference(operands, cold_report.order, options)
+            reference = per_hop_reference(operands, cold_report.plan.order, options)
 
         assert not cold_report.plan_cache_hit
         assert warm_report.plan_cache_hit is replays
         assert warm_report.fused is replays
-        assert cold_report.order == warm_report.order
+        assert cold_report.plan.order == warm_report.plan.order
         assert np.array_equal(reference.to_dense(), cold.to_dense())
         assert np.array_equal(reference.to_dense(), warm.to_dense())
         np.testing.assert_allclose(
@@ -194,7 +194,7 @@ class TestPerHopParity:
         operands = sparse_chain(rng, [64, 48, 80, 32, 40])
         session = Session(config=CONFIG)
         _, report = session.multiply_chain(list(operands))
-        i, k, j = report.order[0]
+        i, k, j = report.plan.order[0]
         assert (i, j) == (k, k + 1)  # the first hop multiplies two leaves
         # Same patterns, so the same ChainKey; but the left factor's top
         # rows times the all-tiny right factor underflow to zero, so the
@@ -210,7 +210,7 @@ class TestPerHopParity:
         result, fallback = session.multiply_chain(list(scaled))
         assert not fallback.plan_cache_hit
         assert np.any(result.to_dense())
-        reference = per_hop_reference(scaled, fallback.order, OPTIONS)
+        reference = per_hop_reference(scaled, fallback.plan.order, OPTIONS)
         assert np.array_equal(result.to_dense(), reference.to_dense())
         np.testing.assert_allclose(
             result.to_dense(), dense_reference(scaled), rtol=1e-9, atol=0.0
@@ -367,4 +367,4 @@ class TestPlanChainFixes:
             assert np.array_equal(structural.grid, exact.grid)
         plan = plan_chain(list(operands), config=CONFIG)
         _, report = multiply_chain(list(operands), options=OPTIONS)
-        assert plan.order == report.order
+        assert plan.order == report.plan.order

@@ -1,18 +1,23 @@
-"""MultiplyOptions, the context-keyword coercion helper, and the 2.0 cut."""
+"""MultiplyOptions, the context-keyword coercion helper, and the 2.0 and 3.0 cuts."""
 
 from __future__ import annotations
 
 import warnings
 
+import numpy as np
 import pytest
 
 import repro
 from repro import (
+    ChainReport,
+    ConfigError,
     COOMatrix,
     CostModel,
     MultiplyOptions,
     MultiplyReport,
     ParallelReport,
+    RetryPolicy,
+    Session,
     atmult,
     build_at_matrix,
     multiply_chain,
@@ -95,7 +100,14 @@ def _execute_plan(matrix, **kwargs):
         matrix,
         config=matrix.config,
         cost_model=CostModel(),
+        options=options,
         **kwargs,
+    )
+
+
+def _session_solve(matrix, **kwargs):
+    return Session(config=matrix.config).solve(
+        matrix, np.ones(matrix.rows), max_iterations=1, **kwargs
     )
 
 
@@ -139,11 +151,46 @@ def _removed_spellings():
         lambda _matrix: repro.multiply, {}, AttributeError, "multiply",
         id="repro-multiply",
     )
+    # Removed in 3.0.
+    for name in ("richardson", "jacobi", "conjugate_gradient"):
+        yield pytest.param(
+            lambda matrix, name=name: getattr(Session(config=matrix.config), name),
+            {}, AttributeError, name, id=f"Session-{name}",
+        )
+    yield pytest.param(
+        _session_solve, {"method": "conjugate_gradient"}, ConfigError,
+        "conjugate_gradient", id="Session.solve-conjugate_gradient",
+    )
+    yield pytest.param(
+        lambda matrix: Session(config=matrix.config).cache_stats()["hits"],
+        {}, TypeError, "subscriptable", id="CacheStats-getitem",
+    )
+    for name in ("order", "cost", "splits", "parenthesization"):
+        yield pytest.param(
+            lambda _matrix, name=name: getattr(ChainReport(), name),
+            {}, AttributeError, name, id=f"ChainReport-{name}",
+        )
+    for name in (
+        "resilience", "checkpoint", "checkpoint_flush_pairs", "cancel",
+        "heartbeat_interval", "pair_deadline_seconds", "startup_grace_seconds",
+    ):
+        yield pytest.param(
+            _execute_plan, {name: None}, TypeError, name, id=f"execute_plan-{name}",
+        )
+    for cls, name in (
+        (MultiplyOptions, "startup_grace_seconds"),
+        (RetryPolicy, "validate_results"),
+        (RetryPolicy, "fallback_to_reference"),
+    ):
+        yield pytest.param(
+            lambda _matrix, cls=cls, name=name: cls(**{name: 1}),
+            {}, TypeError, name, id=f"{cls.__name__}-{name}",
+        )
 
 
 @pytest.mark.parametrize("call,kwargs,error,name", list(_removed_spellings()))
 def test_removed_spelling_fails_loudly(operands, call, kwargs, error, name):
-    """Every spelling removed in 2.0 raises instead of running."""
+    """Every spelling removed in 2.0 or 3.0 raises instead of running."""
     _, matrix = operands
     with pytest.raises(error, match=name):
         call(matrix, **kwargs)

@@ -44,7 +44,7 @@ class TestSessionBasics:
     def test_session_owns_a_cache(self, config):
         session = Session(config=config)
         assert session.plan_cache is not None
-        assert session.cache_stats()["entries"] == 0
+        assert session.cache_stats().entries == 0
 
     def test_multiply_through_session_reuses_plan(self, rng, config):
         array = spd_system(rng, 64)
@@ -54,7 +54,8 @@ class TestSessionBasics:
         second, _ = session.multiply(matrix, matrix)
         assert np.array_equal(first.to_dense(), second.to_dense())
         stats = session.cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert stats.misses == 1 and stats.hits == 1
+        assert repr(session) == "Session(plans=1, hits=1, misses=1)"
 
     def test_matvec_matches_numpy(self, rng, config):
         array = spd_system(rng, 48)

@@ -189,12 +189,3 @@ class TestRunner:
         )
         assert result == "reference"
         assert report.fallbacks == 1
-
-    def test_validation_disabled_by_policy(self):
-        runner, report, _ = make_runner(RetryPolicy(validate_results=False))
-
-        def validate(result):
-            raise AssertionError("must not be called")
-
-        assert runner.run((0, 0), lambda fs: "x", validate=validate) == "x"
-        assert report.fallbacks == 0

@@ -207,6 +207,58 @@ class TestSupervisedReport:
         assert elapsed < stall_seconds / 2
 
 
+class TestStartupGrace:
+    """A worker's first heartbeat may come up to the startup grace late."""
+
+    DELAY_SECONDS = 1.5
+
+    def run_with_slow_first_worker(self, rng, monkeypatch, tmp_path):
+        # Only the first worker forked sleeps before serving: a
+        # replacement finds the marker taken and starts at once.
+        marker = tmp_path / "slept"
+        real_worker_main = shard.worker_main
+
+        def slow_first_worker(channel, first_run=None):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                time.sleep(self.DELAY_SECONDS)
+            real_worker_main(channel, first_run)
+
+        at = build(heterogeneous_array(rng, 64, 64))
+        sequential, _ = atmult(at, at, config=CONFIG)
+        supervisor._shutdown_idle()  # the run must fork its worker
+        monkeypatch.setattr(shard, "worker_main", slow_first_worker)
+        supervised, report = parallel_atmult(
+            at, at, topology=TOPOLOGY, options=process_options(workers=1)
+        )
+        assert marker.exists()
+        assert supervised.to_dense().tobytes() == sequential.to_dense().tobytes()
+        return report.failure
+
+    def test_slow_start_within_the_grace_is_not_a_death(
+        self, rng, monkeypatch, tmp_path
+    ):
+        failure = self.run_with_slow_first_worker(rng, monkeypatch, tmp_path)
+        assert failure.worker_deaths == 0
+        assert len(failure.workers) == 1
+
+    def test_slow_start_past_the_grace_is_buried_and_replaced(
+        self, rng, monkeypatch, tmp_path
+    ):
+        # Before its first beat a worker counts as stale only after
+        # max(1.0 s, the grace): 1.0 s here, under the 1.5 s sleep.
+        monkeypatch.setattr(supervisor, "_STARTUP_GRACE_SECONDS", 0.5)
+        failure = self.run_with_slow_first_worker(rng, monkeypatch, tmp_path)
+        assert failure.worker_deaths == 1
+        assert failure.pairs_quarantined == 0
+        dead = [record for record in failure.workers.values() if record.died]
+        assert len(dead) == 1
+        assert dead[0].cause.startswith("missed heartbeats")
+
+
 class TestSupervisedMemoryLimit:
     def test_demotion_matches_the_thread_backend(self, monkeypatch):
         # Two rank-2 stripes whose outer product density propagation

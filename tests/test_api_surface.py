@@ -57,7 +57,6 @@ class TestSessionSolveFacade:
         "method,direct",
         [
             ("cg", conjugate_gradient),
-            ("conjugate_gradient", conjugate_gradient),
             ("jacobi", jacobi),
             ("richardson", richardson),
         ],
@@ -84,15 +83,6 @@ class TestSessionSolveFacade:
         with pytest.raises(ConfigError, match="unknown solve method"):
             Session(config=small_config).solve(matrix, rhs, method="gauss")
 
-    def test_legacy_solver_methods_delegate(self, small_config, spd_system):
-        matrix, rhs = spd_system
-        session = Session(config=small_config)
-        legacy = session.conjugate_gradient(matrix, rhs, max_iterations=40)
-        modern = Session(config=small_config).solve(
-            matrix, rhs, method="cg", max_iterations=40
-        )
-        assert np.array_equal(legacy.solution, modern.solution)
-
 
 class TestCacheStats:
     def test_typed_stats_with_mapping_compat(self, small_config, rng):
@@ -109,11 +99,7 @@ class TestCacheStats:
         assert stats.hits == 1
         assert stats.hit_rate == 0.5
         assert stats.lookups == 2
-        # dict-style access keeps old call sites working
-        assert stats["hits"] == stats.hits
         assert stats.as_dict()["entries"] == stats.entries
-        with pytest.raises(KeyError):
-            stats["no_such_field"]
 
     def test_clear_cache(self, small_config, rng):
         session = Session(config=small_config)

@@ -187,6 +187,18 @@ class TestExecutionFlags:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_startup_grace_flag_is_gone(self, mtx_file, capsys):
+        path, _ = mtx_file
+        with pytest.raises(SystemExit) as caught:
+            main(
+                [
+                    "multiply", str(path), str(path),
+                    "--execution", "processes", "--startup-grace", "5",
+                ]
+            )
+        assert caught.value.code == 2
+        assert "--startup-grace" in capsys.readouterr().err
+
 
 class TestCheckpointFlags:
     def test_checkpointed_multiply_writes_journal(self, mtx_file, tmp_path, capsys):
